@@ -24,6 +24,8 @@ class WeightedLevels(Protocol):
 def estimate_ranks(sketch: WeightedLevels, queries: Sequence[float]) -> np.ndarray:
     """Estimated inclusive ranks R-hat(y) for each query y (int64 array)."""
     qs = np.asarray(queries, dtype=np.float64).ravel()
+    if np.isnan(qs).any():
+        raise ValueError("NaN query points have no rank")
     out = np.zeros(qs.shape, dtype=np.int64)
     for weight, arr in sketch.level_arrays():
         if arr.size:
@@ -60,12 +62,19 @@ def estimate_cdf(sketch: WeightedLevels, queries: Sequence[float]) -> np.ndarray
         raise ValueError("empty sketch has no CDF")
     return estimate_ranks(sketch, queries) / float(w)
 
+
+def check_fractions(phis: Sequence[float]) -> np.ndarray:
+    """``phis`` as a float64 array; ValueError unless each lies in [0, 1]."""
+    ph = np.asarray(phis, dtype=np.float64).ravel()
+    if not np.all((ph >= 0) & (ph <= 1)):  # also false for NaN
+        raise ValueError("quantile fractions must lie in [0, 1]")
+    return ph
+
+
 def estimate_quantiles(sketch: WeightedLevels, phis: Sequence[float]) -> np.ndarray:
     """For each phi in [0, 1], the smallest stored item whose estimated
     normalized rank is >= phi (the classic mergeable-summary quantile query)."""
-    ph = np.asarray(phis, dtype=np.float64).ravel()
-    if np.any((ph < 0) | (ph > 1)):
-        raise ValueError("quantile fractions must lie in [0, 1]")
+    ph = check_fractions(phis)
     values, weights = weighted_coreset(sketch)
     if values.size == 0:
         raise ValueError("empty sketch has no quantiles")

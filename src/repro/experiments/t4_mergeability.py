@@ -9,7 +9,7 @@ as one-pass streaming.  We build the sketch over TPC-H-lite
 * driver-side single stream (reference),
 * Spark ``mapInPandas`` partials + balanced merge tree (4/16/64 parts),
 * partials + *sequential* (maximally unbalanced) merge chain,
-* RDD ``treeAggregate`` with executor-side combiners,
+* the same partials merged on executors by RDD ``treeReduce``,
 
 and report the max/mean relative error of each against oracle-checked
 exact ranks, plus retained space.  Shape to reproduce: every row's
@@ -88,30 +88,16 @@ def run(spark, *, quick: bool = False, sf: float | None = None) -> pd.DataFrame:
         rows.append(
             _error_row("map_partitions/chain", merge_sequential(partials), truth, ys, parts)
         )
-    # treeAggregate is per-row Python; cap its input so the experiment
-    # stays fast — this row is about merge correctness, not throughput.
     ta_parts = 8 if quick else 32
-    if quick or n <= 50_000:
-        sub, ta_ys, ta_truth = df, ys, truth
-    else:
-        sub = df.limit(50_000).cache()
-        sub_n = sub.count()
-        sub_vals = np.sort(sub.toPandas()["l_extendedprice"].to_numpy())
-        tr = np.unique(
-            np.clip(np.round(np.logspace(0, np.log10(sub_n), 25)).astype(int), 1, sub_n)
-        )
-        ta_ys = sub_vals[tr - 1]
-        ta_truth_df = exact_ranks(sub, "l_extendedprice", list(ta_ys))
-        ta_truth = np.array([r["rank"] for r in ta_truth_df.collect()])
     ta = build_sketch(
-        sub.repartition(ta_parts),
+        df.repartition(ta_parts),
         "l_extendedprice",
         k=K,
         seed=23,
         method="tree_aggregate",
         depth=2,
     )
-    rows.append(_error_row("rdd_tree_aggregate", ta, ta_truth, ta_ys, ta_parts))
+    rows.append(_error_row("rdd_tree_aggregate", ta, truth, ys, ta_parts))
 
     out = pd.DataFrame(rows)
     out.attrs["n"] = n

@@ -1,27 +1,30 @@
 """Distributed sketch builders — the paper's mergeability put to work.
 
-Two dataflow shapes, both exercising Algorithm 4's merge:
+Every Spark sketch is built by one executor-side function,
+``fill_sketch``: drop nulls/NaN, start an empty sketch with the
+template's parameters and a seeded RNG, ``update`` with each Arrow
+batch.  Algorithm 4's merge is full, so any merge tree keeps the
+guarantee (App. C) and the dataflow only chooses where merges run:
 
-* ``build_sketch(..., method="map_partitions")`` — Arrow-backed
-  ``mapInPandas``: each partition builds one partial sketch from its
-  Arrow batches (vectorized ``update``) and emits it as bytes; the
-  driver merges the partials in a *balanced binary tree* so the merge
-  tree has logarithmic depth like a parallel reduction would.
+* ``build_sketch(..., method="map_partitions")`` — ``mapInPandas``
+  emits one partial per non-empty partition as bytes; the driver merges
+  the partials in a balanced binary tree (``merge_balanced``) or a left
+  fold (``merge_sequential``).
+* ``build_sketch(..., method="tree_aggregate")`` — the same partial
+  blobs merged on executors by ``RDD.treeReduce`` (decode, merge,
+  encode) with ``depth`` combiner levels; only the root reaches the
+  driver.  ``depth=1`` is the left fold in partition order.
+* ``repro.spark.udaf`` — one sketch per group inside ``applyInPandas``,
+  answered or emitted in the task that builds it.
 
-* ``build_sketch(..., method="tree_aggregate")`` — the classic RDD
-  ``treeAggregate(zero, seqOp, combOp, depth)``: insertion and merging
-  both happen on executors, with intermediate combiner levels — the
-  "mergeable summary as an Aggregator" shape.  Per-row seqOp is the
-  semantics-faithful form; for throughput use map_partitions.
-
-Randomness: each partition's sketch is seeded by SeedSequence(seed,
-partition_id) so distributed builds are reproducible and partitions are
+Randomness: a partition's sketch is seeded by SeedSequence([seed,
+partition_id]) so distributed builds are reproducible and partitions are
 independent (the paper's guarantee needs independent coin flips, not a
 shared RNG).
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -32,54 +35,45 @@ from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 
 
-def _partition_rng_seed(seed: int, partition_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, partition_id]))
+def fill_sketch(
+    template: ReqSketch, entropy: Sequence[int], columns: Iterable[pd.Series]
+) -> ReqSketch:
+    """The executor-side builder behind every Spark shape.
 
-
-def _make_sketch(proto: dict, seed: int, partition_id: int) -> ReqSketch:
-    """Build an empty sketch from a parameter prototype + partition seed."""
+    An empty sketch with ``template``'s parameters and an RNG seeded by
+    ``SeedSequence(entropy)``, updated with the non-null values of each
+    column chunk in turn.
+    """
     sk = ReqSketch(
-        proto["k"],
-        schedule=proto["schedule"],
-        khat=proto["khat"],
-        k_const=proto["k_const"],
+        template.k,
+        schedule=template.schedule,
+        khat=template._khat,
+        k_const=template._k_const,
     )
-    sk.rng = _partition_rng_seed(seed, partition_id)
+    sk.rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    for chunk in columns:
+        vals = chunk.to_numpy(dtype=np.float64, na_value=np.nan)
+        sk.update(vals[~np.isnan(vals)])
     return sk
 
 
-def _proto(template: ReqSketch) -> dict:
-    """Parameter prototype of a sketch (picklable, tiny)."""
-    return {
-        "k": template.k,
-        "schedule": template.schedule,
-        "khat": template._khat,
-        "k_const": template._k_const,
-    }
+def _partial_blobs(df: DataFrame, col: str, template: ReqSketch, seed: int) -> DataFrame:
+    """``sketch binary``: one serialized partial per non-empty partition."""
+
+    def build(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        pid = TaskContext.get().partitionId()
+        sk = fill_sketch(template, [seed, pid], (pdf[col] for pdf in batches))
+        if sk.n:
+            yield pd.DataFrame({"sketch": [serde.to_bytes(sk)]})
+
+    return df.select(col).mapInPandas(build, schema="sketch binary")
 
 
 def partition_sketches(
     df: DataFrame, col: str, *, template: ReqSketch, seed: int = 0
 ) -> List[ReqSketch]:
-    """One partial REQ sketch per non-empty partition (mapInPandas)."""
-    proto = _proto(template)
-
-    def build(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        ctx = TaskContext.get()
-        pid = ctx.partitionId() if ctx is not None else 0
-        sk: Optional[ReqSketch] = None
-        for pdf in batches:
-            vals = pdf[col].to_numpy(dtype=np.float64, na_value=np.nan)
-            vals = vals[~np.isnan(vals)]
-            if vals.size == 0:
-                continue
-            if sk is None:
-                sk = _make_sketch(proto, seed, pid)
-            sk.update(vals)
-        if sk is not None:
-            yield pd.DataFrame({"sketch": [serde.to_bytes(sk)]})
-
-    out = df.select(col).mapInPandas(build, schema="sketch binary").collect()
+    """One partial REQ sketch per non-empty partition, in partition order."""
+    out = _partial_blobs(df, col, template, seed).collect()
     return [serde.from_bytes(row["sketch"]) for row in out]
 
 
@@ -112,43 +106,8 @@ def merge_sequential(sketches: List[ReqSketch]) -> ReqSketch:
     return acc
 
 
-def tree_aggregate_sketch(
-    df: DataFrame,
-    col: str,
-    *,
-    template: ReqSketch,
-    seed: int = 0,
-    depth: int = 2,
-) -> ReqSketch:
-    """Build via RDD ``treeAggregate``: per-row seqOp inserts, combOp merges.
-
-    The zero value is a parameter prototype (not a live sketch) so every
-    task starts from a fresh, partition-seeded instance.
-    """
-    proto = _proto(template)
-
-    def seq_op(acc, value):
-        if value is None:
-            return acc
-        if not isinstance(acc, ReqSketch):
-            ctx = TaskContext.get()
-            pid = ctx.partitionId() if ctx is not None else 0
-            acc = _make_sketch(proto, seed, pid)
-        acc.update(float(value))
-        return acc
-
-    def comb_op(a, b):
-        a_is = isinstance(a, ReqSketch)
-        b_is = isinstance(b, ReqSketch)
-        if a_is and b_is:
-            return a.merge(b)
-        return a if a_is else b
-
-    rdd = df.select(col).rdd.map(lambda r: r[0])
-    result = rdd.treeAggregate(proto, seq_op, comb_op, depth=depth)
-    if not isinstance(result, ReqSketch):
-        raise ValueError("no rows to aggregate (empty input?)")
-    return result
+def _merge_blobs(a: bytes, b: bytes) -> bytes:
+    return serde.to_bytes(serde.from_bytes(a).merge(serde.from_bytes(b)))
 
 
 def build_sketch(
@@ -164,15 +123,18 @@ def build_sketch(
     merge_shape: str = "balanced",
     depth: int = 2,
 ) -> ReqSketch:
-    """Build a REQ sketch of ``df[col]`` with the chosen dataflow.
+    """Build a REQ sketch of ``df[col]`` with the chosen merge placement.
 
-    ``method``: "map_partitions" (Arrow partials + driver merge tree) or
-    "tree_aggregate" (RDD treeAggregate, executor-side merges).
+    ``method``: "map_partitions" (partials merged on the driver) or
+    "tree_aggregate" (partials merged on executors by ``treeReduce``).
     ``merge_shape``: "balanced" or "sequential" (map_partitions only).
+    ``depth``: treeReduce depth (tree_aggregate only).
     """
     template = ReqSketch(k, schedule=schedule, khat=khat, k_const=k_const)
     if method == "tree_aggregate":
-        return tree_aggregate_sketch(df, col, template=template, seed=seed, depth=depth)
+        # treeReduce raises ValueError on an empty RDD (no rows).
+        blobs = _partial_blobs(df, col, template, seed).rdd.map(lambda r: r[0])
+        return serde.from_bytes(blobs.treeReduce(_merge_blobs, depth))
     if method != "map_partitions":
         raise ValueError(f"unknown method {method!r}")
     partials = partition_sketches(df, col, template=template, seed=seed)

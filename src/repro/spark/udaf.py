@@ -1,16 +1,21 @@
 """Grouped sketching — the "UDAF" usage shape (applyInPandas).
 
-``group_sketches`` returns one serialized REQ sketch per group key —
-i.e. ``SELECT key, REQ_SKETCH(x) ... GROUP BY key`` — and
-``group_quantiles`` evaluates quantile fractions on those sketches,
-returning an exploded (key, phi, value) frame.
+Spark shuffles each group to one task, and the task builds the group's
+sketch with ``aggregate.fill_sketch`` (the builder every Spark shape
+shares), seeded from the group key.  What the task returns depends on
+the call:
+
+* ``group_sketches`` — the serialized sketch and its ``n`` per group,
+  i.e. ``SELECT key, REQ_SKETCH(x) ... GROUP BY key``;
+* ``group_quantiles`` — the exploded ``(keys..., phi, value)`` answers,
+  evaluated in the task, so no sketch leaves the executor;
+* ``merge_group_sketches`` rolls a table of group sketches up into one
+  on the driver.
 
 Why not a real Catalyst UDAF: PySpark's pandas GROUPED_AGG UDFs cannot
 carry partial aggregation state across partitions (no merge hook), and
-a JVM ``TypedImperativeAggregate`` needs Scala compilation that the
-offline container cannot do (see DESIGN.md).  ``applyInPandas`` gives
-the same semantics: Spark shuffles each group to one task, the task
-builds the group's sketch with a deterministic per-group seed.
+a JVM ``TypedImperativeAggregate`` needs a Scala build, which this
+pure-Python package does not have (see DESIGN.md).
 """
 from __future__ import annotations
 
@@ -19,16 +24,20 @@ from typing import List, Sequence
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core import serde
+from repro.core.estimator import check_fractions
 from repro.core.req_sketch import ReqSketch
+from repro.spark.aggregate import fill_sketch, merge_sequential
 
 
-def _group_seed(seed: int, key_values: tuple) -> np.random.Generator:
-    ent = [seed] + [abs(hash(str(v))) % (2 ** 31) for v in key_values]
-    return np.random.default_rng(np.random.SeedSequence(ent))
+def _group_sketch(
+    key: tuple, pdf: pd.DataFrame, value_col: str, template: ReqSketch, seed: int
+) -> ReqSketch:
+    """The per-group build: ``fill_sketch`` seeded by the group key."""
+    entropy = [seed] + [abs(hash(str(v))) % (2 ** 31) for v in key]
+    return fill_sketch(template, entropy, [pdf[value_col]])
 
 
 def group_sketches(
@@ -41,27 +50,23 @@ def group_sketches(
     schedule: str = "req",
 ) -> DataFrame:
     """One REQ sketch per group: columns ``group_cols + [sketch, n]``."""
-    key_fields = [df.schema[c] for c in group_cols]
     out_schema = T.StructType(
-        list(key_fields)
+        [df.schema[c] for c in group_cols]
         + [
             T.StructField("sketch", T.BinaryType(), False),
             T.StructField("n", T.LongType(), False),
         ]
     )
+    template = ReqSketch(k, schedule=schedule)
 
-    def build(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        vals = pdf[value_col].to_numpy(dtype=np.float64, na_value=np.nan)
-        vals = vals[~np.isnan(vals)]
-        sk = ReqSketch(k, schedule=schedule)
-        sk.rng = _group_seed(seed, key)
-        sk.update(vals)
+    def emit(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
+        sk = _group_sketch(key, pdf, value_col, template, seed)
         row = {c: [v] for c, v in zip(group_cols, key)}
         row["sketch"] = [serde.to_bytes(sk)]
         row["n"] = [sk.n]
         return pd.DataFrame(row)
 
-    return df.groupBy(*group_cols).applyInPandas(build, schema=out_schema)
+    return df.groupBy(*group_cols).applyInPandas(emit, schema=out_schema)
 
 
 def group_quantiles(
@@ -75,29 +80,29 @@ def group_quantiles(
 ) -> DataFrame:
     """Per-group quantile estimates: ``group_cols + [phi, value]``.
 
-    Evaluation happens on the driver (sketches are tiny); the result is
-    returned as a Spark DataFrame so callers can join/compare it with
-    SQL ground truth.
+    Each group's answers are those of its ``group_sketches`` sketch (same
+    ``k`` and ``seed``), evaluated in the task that builds it.  A group with no non-null
+    value answers ``value = null``, as ``percentile_approx`` does.
     """
-    sketch_df = group_sketches(df, group_cols, value_col, k=k, seed=seed)
-    rows = sketch_df.collect()
-    spark = df.sparkSession
-    out = []
-    for r in rows:
-        sk = serde.from_bytes(r["sketch"])
-        vals = sk.quantiles(list(phis))
-        for phi, v in zip(phis, vals):
-            out.append(
-                tuple(r[c] for c in group_cols) + (float(phi), float(v))
-            )
-    schema = T.StructType(
+    phis = check_fractions(phis).tolist()
+    out_schema = T.StructType(
         [df.schema[c] for c in group_cols]
         + [
             T.StructField("phi", T.DoubleType(), False),
-            T.StructField("value", T.DoubleType(), False),
+            T.StructField("value", T.DoubleType(), True),
         ]
     )
-    return spark.createDataFrame(out, schema=schema).orderBy(*group_cols, "phi")
+    template = ReqSketch(k)
+
+    def answer(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
+        sk = _group_sketch(key, pdf, value_col, template, seed)
+        out = {c: [v] * len(phis) for c, v in zip(group_cols, key)}
+        out["phi"] = phis
+        out["value"] = sk.quantiles(phis) if sk.n else np.full(len(phis), np.nan)
+        return pd.DataFrame(out)
+
+    grouped = df.groupBy(*group_cols).applyInPandas(answer, schema=out_schema)
+    return grouped.orderBy(*group_cols, "phi")
 
 
 def merge_group_sketches(sketch_df: DataFrame) -> ReqSketch:
@@ -107,10 +112,4 @@ def merge_group_sketches(sketch_df: DataFrame) -> ReqSketch:
     summary without touching the raw data (paper's mergeability pitch).
     """
     rows = sketch_df.select("sketch").collect()
-    if not rows:
-        raise ValueError("no group sketches to merge")
-    sketches = [serde.from_bytes(r["sketch"]) for r in rows]
-    acc = sketches[0]
-    for sk in sketches[1:]:
-        acc = acc.merge(sk)
-    return acc
+    return merge_sequential([serde.from_bytes(r["sketch"]) for r in rows])

@@ -45,6 +45,13 @@ class TestRanks:
         assert E.estimate_rank(sk, 2.0) == 3
         assert E.estimate_rank(sk, 1.9) == 0
 
+    def test_nan_query_rejected(self):
+        sk = FakeSketch([(1, [1.0, 2.0])])
+        with pytest.raises(ValueError):
+            E.estimate_rank(sk, float("nan"))
+        with pytest.raises(ValueError):
+            E.estimate_ranks(sk, [1.0, float("nan")])
+
 
 class TestTotalWeightAndCoreset:
     def test_total_weight(self):
@@ -95,6 +102,8 @@ class TestQuantiles:
             E.estimate_quantiles(sk, [1.5])
         with pytest.raises(ValueError):
             E.estimate_quantiles(sk, [-0.1])
+        with pytest.raises(ValueError):
+            E.estimate_quantiles(sk, [0.5, float("nan")])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,16 @@ class TestTreeAggregate:
             )
             assert sk.total_weight() == n
 
+    def test_depth_one_equals_sequential_merge(self, spark, stream):
+        """treeReduce at depth 1 folds the same partials, in the same
+        order, as the driver's sequential merge: bit-identical answers."""
+        _, df = stream
+        tree = agg.build_sketch(df, "x", k=16, seed=14, method="tree_aggregate", depth=1)
+        seq = agg.build_sketch(df, "x", k=16, seed=14, merge_shape="sequential")
+        qs = np.linspace(0, N, 41)
+        assert np.array_equal(tree.ranks(qs), seq.ranks(qs))
+        assert tree.num_retained() == seq.num_retained()
+
     def test_empty_input_raises(self, spark):
         import pandas as pd
 

@@ -1,5 +1,6 @@
 """Grouped-sketch (applyInPandas UDAF shape) tests, oracle-checked."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -7,6 +8,7 @@ from repro import synth_data as sd
 from repro.core import serde
 from repro.oracle import assert_equivalent
 from repro.spark import udaf
+from repro.spark.aggregate import merge_sequential
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,37 @@ class TestGroupQuantiles:
         out = udaf.group_quantiles(li, ["l_returnflag"], "l_quantity", [0.5], k=16)
         assert out.columns == ["l_returnflag", "phi", "value"]
 
+    def test_answers_are_the_group_sketch_quantiles(self, spark, li):
+        """Each answer equals the query of the matching group_sketches row."""
+        phis = [0.0, 0.01, 0.5, 0.99, 1.0]
+        keys = ["l_returnflag", "l_linestatus"]
+        got = udaf.group_quantiles(li, keys, "l_extendedprice", phis, k=16, seed=7)
+        answers = {}
+        for r in got.collect():
+            answers.setdefault((r["l_returnflag"], r["l_linestatus"]), []).append(r["value"])
+        sketches = udaf.group_sketches(li, keys, "l_extendedprice", k=16, seed=7)
+        rows = sketches.collect()
+        assert len(rows) == len(answers)
+        for r in rows:
+            want = serde.from_bytes(r["sketch"]).quantiles(phis)
+            assert answers[(r["l_returnflag"], r["l_linestatus"])] == list(want)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_bad_fraction_rejected_before_spark(self, spark, li, bad):
+        with pytest.raises(ValueError):
+            udaf.group_quantiles(li, ["l_returnflag"], "l_quantity", [0.5, bad])
+
+    def test_all_null_group_answers_null(self, spark):
+        pdf = pd.DataFrame({"g": ["a", "a", "a", "b", "b"], "x": [1.0, 2.0, 3.0, None, None]})
+        df = spark.createDataFrame(pdf, schema="g string, x double")
+        out = udaf.group_quantiles(df, ["g"], "x", [0.0, 1.0], k=8)
+        assert out.schema["value"].nullable
+        assert [tuple(r) for r in out.collect()] == [
+            ("a", 0.0, 1.0), ("a", 1.0, 3.0), ("b", 0.0, None), ("b", 1.0, None)
+        ]
+        counts = {r["g"]: r["n"] for r in udaf.group_sketches(df, ["g"], "x").collect()}
+        assert counts == {"a": 3, "b": 0}
+
 
 class TestRollup:
     def test_merge_groups_equals_global(self, spark, li):
@@ -81,6 +114,16 @@ class TestRollup:
         est = merged.quantile(0.5)
         true_rank = (pdf <= est).sum()
         assert abs(true_rank - 0.5 * len(pdf)) <= 0.05 * len(pdf)
+
+    def test_rollup_is_sequential_merge_of_blobs(self, spark, li):
+        keys = ["l_returnflag", "l_linestatus"]
+        out = udaf.group_sketches(li, keys, "l_extendedprice", k=16, seed=8).cache()
+        merged = udaf.merge_group_sketches(out)
+        folded = merge_sequential([serde.from_bytes(r["sketch"]) for r in out.collect()])
+        qs = np.linspace(0, 1e5, 41)
+        assert np.array_equal(merged.ranks(qs), folded.ranks(qs))
+        assert merged.num_retained() == folded.num_retained()
+        out.unpersist()
 
     def test_empty_rollup_rejected(self, spark, li):
         empty = udaf.group_sketches(
