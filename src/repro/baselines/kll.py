@@ -17,14 +17,14 @@ the summary fully mergeable like the original.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.core import estimator
 
 
-class KllSketch:
+class KllSketch(estimator.Queries):
     """Additive-error streaming quantiles sketch (constant-factor KLL)."""
 
     DECAY = 2.0 / 3.0
@@ -62,6 +62,7 @@ class KllSketch:
         arr = arr.ravel()
         if np.any(np.isnan(arr)):
             raise ValueError("NaN items are not totally ordered; refusing to insert")
+        self._view = None
         pos, total = 0, arr.size
         while pos < total:
             room = self.capacity(0) - self._counts[0]
@@ -117,6 +118,7 @@ class KllSketch:
             raise TypeError(f"cannot merge KllSketch with {type(other).__name__}")
         if self.k != other.k:
             raise ValueError(f"k mismatch: {self.k} != {other.k}")
+        self._view = None
         while len(self.levels) < len(other.levels):
             self.levels.append([])
             self._counts.append(0)
@@ -132,24 +134,8 @@ class KllSketch:
     # ----------------------------------------------------------------- queries
 
     def level_arrays(self) -> List[Tuple[int, np.ndarray]]:
-        return [
-            (1 << h, np.sort(self._level_values(h))) for h in range(len(self.levels))
-        ]
-
-    def rank(self, y: float) -> int:
-        return estimator.estimate_rank(self, y)
-
-    def ranks(self, ys: Sequence[float]) -> np.ndarray:
-        return estimator.estimate_ranks(self, ys)
-
-    def quantile(self, phi: float) -> float:
-        return estimator.estimate_quantile(self, phi)
-
-    def quantiles(self, phis: Sequence[float]) -> np.ndarray:
-        return estimator.estimate_quantiles(self, phis)
-
-    def total_weight(self) -> int:
-        return estimator.total_weight(self)
+        """(weight, unsorted items) per level, as for ``ReqSketch``."""
+        return [(1 << h, self._level_values(h)) for h in range(len(self.levels))]
 
     # ------------------------------------------------------------------- serde
 

@@ -34,7 +34,8 @@ class RelativeCompactor:
     """One level's buffer with its compaction-schedule state.
 
     Buffers are kept *unsorted* between compactions (appends are O(1)
-    amortized); sorting happens once per compaction / query.
+    amortized); sorting happens once per compaction. Queries read the
+    unsorted items through the sketch's sorted view.
     """
 
     __slots__ = ("params", "state", "schedule", "_chunks", "_count")

@@ -1,66 +1,19 @@
-"""Rank / CDF / quantile estimation over a weighted coreset of levels.
+"""Rank / CDF / quantile queries over one sorted view of a sketch.
 
-Both the REQ sketch and the KLL baseline expose their state as a list of
-``(weight, sorted_values)`` pairs — items at level h count with weight
-2^h (Algorithm 2, Estimate-Rank).  The estimators here are vectorized
-over query arrays via ``numpy.searchsorted``.
+The REQ sketch and the KLL baseline expose their state as
+``level_arrays()``: ``(weight, unsorted items)`` per level, weight 2^h at
+level h (Algorithm 2, Estimate-Rank).  ``SortedView`` sorts that weighted
+coreset once into values plus cumulative weights, so every query is a
+``numpy.searchsorted``; ``Queries`` caches one view per sketch.
 
 Rank convention: R(y) = |{x_i : x_i <= y}| (paper §1), i.e. inclusive
-rank, estimated with ``searchsorted(..., side="right")``.
+rank, found with ``searchsorted(..., side="right")``.
 """
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-
-class WeightedLevels(Protocol):
-    """Anything that can present itself as weighted sorted level arrays."""
-
-    def level_arrays(self) -> List[Tuple[int, np.ndarray]]: ...
-
-
-def estimate_ranks(sketch: WeightedLevels, queries: Sequence[float]) -> np.ndarray:
-    """Estimated inclusive ranks R-hat(y) for each query y (int64 array)."""
-    qs = np.asarray(queries, dtype=np.float64).ravel()
-    if np.isnan(qs).any():
-        raise ValueError("NaN query points have no rank")
-    out = np.zeros(qs.shape, dtype=np.int64)
-    for weight, arr in sketch.level_arrays():
-        if arr.size:
-            out += weight * np.searchsorted(arr, qs, side="right")
-    return out
-
-
-def estimate_rank(sketch: WeightedLevels, y: float) -> int:
-    return int(estimate_ranks(sketch, [y])[0])
-
-
-def total_weight(sketch: WeightedLevels) -> int:
-    """Sum of item weights — the sketch's notion of the stream length."""
-    return int(sum(w * arr.size for w, arr in sketch.level_arrays()))
-
-
-def weighted_coreset(sketch: WeightedLevels) -> Tuple[np.ndarray, np.ndarray]:
-    """All stored items merged into one sorted array plus parallel weights."""
-    levels = [(w, a) for w, a in sketch.level_arrays() if a.size]
-    if not levels:
-        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
-    values = np.concatenate([a for _, a in levels])
-    weights = np.concatenate(
-        [np.full(a.size, w, dtype=np.int64) for w, a in levels]
-    )
-    order = np.argsort(values, kind="stable")
-    return values[order], weights[order]
-
-
-def estimate_cdf(sketch: WeightedLevels, queries: Sequence[float]) -> np.ndarray:
-    """Estimated CDF value R-hat(y)/W at each query, W = total weight."""
-    w = total_weight(sketch)
-    if w == 0:
-        raise ValueError("empty sketch has no CDF")
-    return estimate_ranks(sketch, queries) / float(w)
 
 
 def check_fractions(phis: Sequence[float]) -> np.ndarray:
@@ -71,18 +24,82 @@ def check_fractions(phis: Sequence[float]) -> np.ndarray:
     return ph
 
 
-def estimate_quantiles(sketch: WeightedLevels, phis: Sequence[float]) -> np.ndarray:
-    """For each phi in [0, 1], the smallest stored item whose estimated
-    normalized rank is >= phi (the classic mergeable-summary quantile query)."""
-    ph = check_fractions(phis)
-    values, weights = weighted_coreset(sketch)
-    if values.size == 0:
-        raise ValueError("empty sketch has no quantiles")
-    cum = np.cumsum(weights)
-    targets = np.clip(np.ceil(ph * cum[-1]), 1, cum[-1])
-    idx = np.searchsorted(cum, targets, side="left")
-    return values[idx]
+class SortedView:
+    """Every retained item in non-descending order (``values``) with the
+    total weight of the items up to and including each (``cum``)."""
+
+    def __init__(self, levels: Sequence[Tuple[int, np.ndarray]]) -> None:
+        values = np.concatenate([np.empty(0)] + [a for _, a in levels])
+        sizes = [a.size for _, a in levels]
+        weights = np.repeat(np.array([w for w, _ in levels], dtype=np.int64), sizes)
+        order = np.argsort(values)
+        # _below[i] is the weight of values[:i]; it starts with a 0 so an
+        # index from searchsorted reads a rank directly.
+        self._below = np.zeros(values.size + 1, dtype=np.int64)
+        np.cumsum(weights[order], out=self._below[1:])
+        self.values = values[order]
+        self.cum = self._below[1:]
+
+    @property
+    def total_weight(self) -> int:
+        """Sum of item weights — the sketch's notion of the stream length."""
+        return int(self._below[-1])
+
+    def ranks(self, ys: Sequence[float]) -> np.ndarray:
+        """Estimated inclusive ranks R-hat(y) for each query y (int64 array)."""
+        qs = np.asarray(ys, dtype=np.float64).ravel()
+        if np.isnan(qs).any():
+            raise ValueError("NaN query points have no rank")
+        return self._below[np.searchsorted(self.values, qs, side="right")]
+
+    def cdf(self, ys: Sequence[float]) -> np.ndarray:
+        """Estimated CDF value R-hat(y)/W at each query, W = total weight."""
+        w = self.total_weight
+        if w == 0:
+            raise ValueError("empty sketch has no CDF")
+        return self.ranks(ys) / float(w)
+
+    def quantiles(self, phis: Sequence[float]) -> np.ndarray:
+        """For each phi in [0, 1], the smallest stored item whose estimated
+        normalized rank is >= phi (the classic mergeable-summary quantile query)."""
+        ph = check_fractions(phis)
+        if self.values.size == 0:
+            raise ValueError("empty sketch has no quantiles")
+        w = self.cum[-1]
+        targets = np.clip(np.ceil(ph * w), 1, w)
+        return self.values[np.searchsorted(self.cum, targets, side="left")]
 
 
-def estimate_quantile(sketch: WeightedLevels, phi: float) -> float:
-    return float(estimate_quantiles(sketch, [phi])[0])
+class Queries:
+    """Rank, CDF and quantile methods for a sketch with ``level_arrays()``.
+
+    They read one ``SortedView`` cached in ``_view``; every method that
+    changes the retained items must reset ``_view`` to None.
+    """
+
+    _view: Optional[SortedView] = None
+
+    def _sorted_view(self) -> SortedView:
+        if self._view is None:
+            self._view = SortedView(self.level_arrays())
+        return self._view
+
+    # The scalar forms read the view directly rather than through the
+    # vector methods, so each public call is exactly one query.
+    def rank(self, y: float) -> int:
+        return int(self._sorted_view().ranks([y])[0])
+
+    def ranks(self, ys: Sequence[float]) -> np.ndarray:
+        return self._sorted_view().ranks(ys)
+
+    def cdf(self, ys: Sequence[float]) -> np.ndarray:
+        return self._sorted_view().cdf(ys)
+
+    def quantile(self, phi: float) -> float:
+        return float(self._sorted_view().quantiles([phi])[0])
+
+    def quantiles(self, phis: Sequence[float]) -> np.ndarray:
+        return self._sorted_view().quantiles(phis)
+
+    def total_weight(self) -> int:
+        return self._sorted_view().total_weight

@@ -11,7 +11,8 @@ h+1, where items count with weight 2^h.  The sketch supports
   OR, buffers concatenate, and a single bottom-up compaction pass
   restores capacity — an arbitrary merge tree preserves the
   multiplicative error guarantee;
-* rank / CDF / quantile queries via the weighted coreset of all levels.
+* rank / CDF / quantile queries through one cached sorted view of the
+  weighted coreset of all levels (``estimator.Queries``).
 
 Two parameterizations:
 
@@ -27,7 +28,7 @@ protect-half strawman (always compact the whole top half) with the
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from repro.core.compactor import RelativeCompactor
 from repro.core.schedule import merge_states
 
 
-class ReqSketch:
+class ReqSketch(estimator.Queries):
     """Mergeable relative-error streaming quantiles sketch."""
 
     def __init__(
@@ -143,6 +144,7 @@ class ReqSketch:
         arr = arr.ravel()
         if np.any(np.isnan(arr)):
             raise ValueError("NaN items are not totally ordered; refusing to insert")
+        self._view = None
         pos, total = 0, arr.size
         while pos < total:
             lv0 = self.levels[0]
@@ -171,6 +173,7 @@ class ReqSketch:
         self._check_mergeable(other)
         if other.n == 0:
             return self
+        self._view = None
         src = other.copy()
         # Line 1: combined input size.
         self.n += src.n
@@ -211,26 +214,8 @@ class ReqSketch:
     # ----------------------------------------------------------------- queries
 
     def level_arrays(self) -> List[Tuple[int, np.ndarray]]:
-        """(weight, sorted items) per level — the Estimate-Rank coreset."""
-        return [(1 << h, lv.sorted_values()) for h, lv in enumerate(self.levels)]
-
-    def rank(self, y: float) -> int:
-        return estimator.estimate_rank(self, y)
-
-    def ranks(self, ys: Sequence[float]) -> np.ndarray:
-        return estimator.estimate_ranks(self, ys)
-
-    def cdf(self, ys: Sequence[float]) -> np.ndarray:
-        return estimator.estimate_cdf(self, ys)
-
-    def quantile(self, phi: float) -> float:
-        return estimator.estimate_quantile(self, phi)
-
-    def quantiles(self, phis: Sequence[float]) -> np.ndarray:
-        return estimator.estimate_quantiles(self, phis)
-
-    def total_weight(self) -> int:
-        return estimator.total_weight(self)
+        """(weight, unsorted items) per level — the Estimate-Rank coreset."""
+        return [(1 << h, lv.values()) for h, lv in enumerate(self.levels)]
 
     # ------------------------------------------------------------------- serde
 
