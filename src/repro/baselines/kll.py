@@ -22,9 +22,10 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from repro.core import estimator
+from repro.core.rng import LazyRng
 
 
-class KllSketch(estimator.Queries):
+class KllSketch(LazyRng, estimator.Queries):
     """Additive-error streaming quantiles sketch (constant-factor KLL)."""
 
     DECAY = 2.0 / 3.0
@@ -37,7 +38,7 @@ class KllSketch(estimator.Queries):
         self.levels: List[List[np.ndarray]] = [[]]  # chunk lists per level
         self._counts: List[int] = [0]
         self.n = 0
-        self.rng = np.random.default_rng(seed)
+        self._rng_src = seed  # generator built on first draw (``LazyRng``)
 
     # ------------------------------------------------------------------ sizing
 
@@ -146,7 +147,7 @@ class KllSketch(estimator.Queries):
             "k": self.k,
             "n": self.n,
             "levels": [self._level_values(h).copy() for h in range(len(self.levels))],
-            "rng_state": self.rng.bit_generator.state,
+            "rng_state": self._rng_state(),
         }
 
     @classmethod
@@ -159,8 +160,7 @@ class KllSketch(estimator.Queries):
         sk._counts = [a.size for a in (np.asarray(x) for x in d["levels"])]
         if not sk.levels:
             sk.levels, sk._counts = [[]], [0]
-        sk.rng = np.random.default_rng()
-        sk.rng.bit_generator.state = d["rng_state"]
+        sk._rng_src = d["rng_state"]
         return sk
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -36,6 +36,11 @@ class RelativeCompactor:
     Buffers are kept *unsorted* between compactions (appends are O(1)
     amortized); sorting happens once per compaction. Queries read the
     unsorted items through the sketch's sorted view.
+
+    Invariant: no code writes into a buffered array in place.
+    ``compact`` sorts into a new array and ``values`` concatenates into
+    one, so a merge may append another sketch's level arrays without
+    copying them, and both sketches stay independent.
     """
 
     __slots__ = ("params", "state", "schedule", "_chunks", "_count")
@@ -66,6 +71,11 @@ class RelativeCompactor:
 
     def is_full(self) -> bool:
         return self._count >= self.params.B
+
+    def special_moves(self) -> bool:
+        """Whether a special compaction would move any item: more than
+        one item sits above the protected half (an even range needs two)."""
+        return self._count > self.params.B // 2 + 1
 
     # ------------------------------------------------------------------ content
 
@@ -104,9 +114,7 @@ class RelativeCompactor:
         """
         p = self.params
         if special:
-            # Nothing to do when at most one item sits above the
-            # protected half (an even range needs at least two).
-            if self._count <= p.B // 2 + 1:
+            if not self.special_moves():
                 return np.empty(0, dtype=np.float64)
             start = p.B // 2
         else:

@@ -18,7 +18,7 @@ Eq. (6), and tests pin both sets of formulas exactly as printed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def _even_at_least(x: float, lo: int = 2) -> int:
@@ -107,15 +107,12 @@ class CompactorParams:
 
     k: int
     num_sections: int
+    # Buffer capacity, computed once: compaction reads it on every pass.
+    B: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_k(self.k)
-        if self.num_sections < 1:
-            raise ValueError(f"num_sections must be >= 1, got {self.num_sections}")
-
-    @property
-    def B(self) -> int:
-        return buffer_size(self.k, self.num_sections)
+        # buffer_size validates k and num_sections.
+        object.__setattr__(self, "B", buffer_size(self.k, self.num_sections))
 
 
 def _check_eps_delta(eps: float, delta: float) -> None:

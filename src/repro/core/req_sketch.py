@@ -34,10 +34,11 @@ import numpy as np
 
 from repro.core import estimator, params as P
 from repro.core.compactor import RelativeCompactor
+from repro.core.rng import LazyRng
 from repro.core.schedule import merge_states
 
 
-class ReqSketch(estimator.Queries):
+class ReqSketch(LazyRng, estimator.Queries):
     """Mergeable relative-error streaming quantiles sketch."""
 
     def __init__(
@@ -66,7 +67,8 @@ class ReqSketch(estimator.Queries):
         # Smallest buffer size ever in force (here or in any merged-in
         # operand): ranks <= _min_B/2 are deterministically exact.
         self._min_B = self.params.B
-        self.rng = _rng if _rng is not None else np.random.default_rng(seed)
+        # The generator is built on first draw (``LazyRng``).
+        self._rng, self._rng_src = _rng, seed
 
     # ------------------------------------------------------------ constructors
 
@@ -165,16 +167,19 @@ class ReqSketch(estimator.Queries):
     # ------------------------------------------------------------------- merge
 
     def merge(self, other: "ReqSketch") -> "ReqSketch":
-        """Merge ``other`` into ``self`` (Algorithm 4). ``other`` is unchanged.
+        """Merge ``other`` into ``self`` (Algorithm 4).
 
-        Both operands must share the section-size policy (identical fixed
-        k, or identical k-hat) and schedule flavour.
+        ``other`` is unchanged; the target may share read-only level
+        arrays with it.  ``other`` is copied only when it is ``self`` or
+        when App. C's special compaction will move its items.  Both
+        operands must share the section-size policy (identical fixed k,
+        or identical k-hat) and schedule flavour.
         """
         self._check_mergeable(other)
         if other.n == 0:
             return self
         self._view = None
-        src = other.copy()
+        src = other.copy() if other is self else other
         # Line 1: combined input size.
         self.n += src.n
         # Ensure self carries the larger parameter epoch before the
@@ -186,7 +191,9 @@ class ReqSketch(estimator.Queries):
             self._grow_once()
         # Lines 6-7: source's parameters lag behind - special-compact it
         # once with its OWN (old) geometry before adopting buffers.
-        if src.N < self.N:
+        if src.N < self.N and src._special_compaction_moves():
+            if src is other:
+                src = other.copy()
             src._special_compact_all(self.rng)
         self._min_B = min(self._min_B, src._min_B)
         # Lines 8-11: combine buffers and schedule states per level.
@@ -231,16 +238,24 @@ class ReqSketch(estimator.Queries):
             "n": self.n,
             "min_B": self._min_B,
             "levels": [lv.to_dict() for lv in self.levels],
-            "rng_state": self.rng.bit_generator.state,
+            "rng_state": self._rng_state(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReqSketch":
+        """Rebuild a sketch from ``to_dict`` output.  Builds no generator:
+        the saved ``rng_state`` is restored at the first draw.
+
+        Re-encoding a decoded sketch gives the bytes it was decoded from.
+        Pickle writes equal strings once only if they are one object, so
+        a schedule that was the type tag's ``"req"`` object stays so.
+        """
         if d.get("type") != "req" or d.get("version") != 1:
             raise ValueError(f"not a v1 REQ sketch dict: {d.get('type')!r}")
+        schedule = "req" if d["schedule"] is d["type"] else d["schedule"]
         sk = cls(
             d["k"],
-            schedule=d["schedule"],
+            schedule=schedule,
             khat=d["khat"],
             k_const=d["k_const"],
             N0=d["N"],
@@ -250,10 +265,11 @@ class ReqSketch(estimator.Queries):
         sk.levels = [
             RelativeCompactor.from_dict(ld, sk.params) for ld in d["levels"]
         ]
+        for lv in sk.levels:
+            lv.schedule = schedule
         if not sk.levels:
             sk.levels = [sk._new_level()]
-        sk.rng = np.random.default_rng()
-        sk.rng.bit_generator.state = d["rng_state"]
+        sk._rng_src = d["rng_state"]
         return sk
 
     # --------------------------------------------------------------- internals
@@ -292,6 +308,11 @@ class ReqSketch(estimator.Queries):
             promoted = self.levels[h].compact(rng, special=True)
             if promoted.size:
                 self.levels[h + 1].append(promoted)
+
+    def _special_compaction_moves(self) -> bool:
+        """Whether ``_special_compact_all`` would change this sketch.  If
+        no non-top level moves items, none receives any, so none moves."""
+        return any(lv.special_moves() for lv in self.levels[:-1])
 
     def _grow_once(self) -> None:
         """One parameter-epoch step: special compactions, then N <- N^2."""

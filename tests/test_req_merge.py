@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactRanks, relative_errors
+from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 from repro.synth_data import stream_array
 
@@ -60,6 +61,85 @@ class TestMergeBasics:
         # Same deterministic head behaviour (estimates may differ by coin
         # flips but weights must agree).
         assert s1.total_weight() == s2.total_weight()
+
+
+# (target, source) sizes for each relation of the operands' growth epochs.
+EPOCH_SIZES = {
+    "same_epoch": (5_000, 5_000),
+    "lower_epoch_special": (100_000, 1_000),
+    "lower_epoch_small_levels": (100_000, 50),
+    "higher_epoch": (50, 100_000),
+    # The target's levels start out as the source's very arrays.
+    "empty_target": (0, 2_500),
+}
+EPOCH_CASES = list(EPOCH_SIZES)
+
+
+def _epoch_case(case, decoded):
+    """(target, source) for one case of ``EPOCH_SIZES``."""
+    a, b = (sketch_of(stream_array("uniform", n, seed=70 + i), seed=70 + i)
+            for i, n in enumerate(EPOCH_SIZES[case]))
+    if case == "same_epoch":
+        assert a.N == b.N
+    elif case == "higher_epoch":
+        assert b.N > a.N
+    elif case == "empty_target":
+        assert a.n == 0 and b.N > a.N
+        # An unsorted bottom level, so that sorting it in place would show.
+        assert np.any(np.diff(b.levels[0].values()) < 0)
+    else:
+        assert b.N < a.N
+        assert b._special_compaction_moves() == (case == "lower_epoch_special")
+    if decoded:
+        a, b = serde.from_bytes(serde.to_bytes(a)), serde.from_bytes(serde.to_bytes(b))
+    return a, b
+
+
+class TestMergeWithoutCopy:
+    """``merge`` reads its source in place; it copies it only when the
+    source is the target or App. C's special compaction would move items."""
+
+    @pytest.mark.parametrize("decoded", [False, True])
+    @pytest.mark.parametrize("case", EPOCH_CASES)
+    def test_source_bytes_unchanged(self, case, decoded):
+        a, b = _epoch_case(case, decoded)
+        before = serde.to_bytes(b)
+        a.merge(b)
+        assert serde.to_bytes(b) == before
+
+    @pytest.mark.parametrize("case", EPOCH_CASES)
+    def test_same_result_as_merging_a_copy(self, case):
+        a, b = _epoch_case(case, decoded=True)
+        a2, b2 = _epoch_case(case, decoded=True)
+        assert serde.to_bytes(a.merge(b)) == serde.to_bytes(a2.merge(b2.copy()))
+
+    @pytest.mark.parametrize("n", [50, 3_000, 40_000])
+    def test_self_merge_equals_merge_of_copy(self, n):
+        data = stream_array("uniform", n, seed=80)
+        a, a2 = sketch_of(data, seed=80), sketch_of(data, seed=80)
+        a.merge(a)
+        a2.merge(a2.copy())
+        assert a.n == 2 * n
+        assert serde.to_bytes(a) == serde.to_bytes(a2)
+
+    @pytest.mark.parametrize("case", EPOCH_CASES)
+    def test_no_aliasing_between_operands(self, case):
+        more = stream_array("uniform", 20_000, seed=81)
+        # c is in a later epoch than every case's operands, so merging it
+        # special-compacts the levels they hand over before any update.
+        c = sketch_of(stream_array("uniform", 30_000, seed=82), seed=82)
+        # Changing the source after the merge leaves the target alone ...
+        a, b = _epoch_case(case, decoded=True)
+        a.merge(b)
+        merged = serde.to_bytes(a)
+        b.merge(c).update(more)
+        assert serde.to_bytes(a) == merged
+        # ... and changing the target leaves the source alone.
+        a, b = _epoch_case(case, decoded=True)
+        a.merge(b)
+        source = serde.to_bytes(b)
+        a.merge(c).update(more)
+        assert serde.to_bytes(b) == source
 
 
 class TestMergeCompatibility:
