@@ -22,10 +22,9 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from repro.core import estimator
-from repro.core.rng import LazyRng
 
 
-class KllSketch(LazyRng, estimator.Queries):
+class KllSketch(estimator.Queries):
     """Additive-error streaming quantiles sketch (constant-factor KLL)."""
 
     DECAY = 2.0 / 3.0
@@ -38,7 +37,7 @@ class KllSketch(LazyRng, estimator.Queries):
         self.levels: List[List[np.ndarray]] = [[]]  # chunk lists per level
         self._counts: List[int] = [0]
         self.n = 0
-        self._rng_src = seed  # generator built on first draw (``LazyRng``)
+        self.rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------ sizing
 
@@ -137,31 +136,6 @@ class KllSketch(LazyRng, estimator.Queries):
     def level_arrays(self) -> List[Tuple[int, np.ndarray]]:
         """(weight, unsorted items) per level, as for ``ReqSketch``."""
         return [(1 << h, self._level_values(h)) for h in range(len(self.levels))]
-
-    # ------------------------------------------------------------------- serde
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "kll",
-            "version": 1,
-            "k": self.k,
-            "n": self.n,
-            "levels": [self._level_values(h).copy() for h in range(len(self.levels))],
-            "rng_state": self._rng_state(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KllSketch":
-        if d.get("type") != "kll" or d.get("version") != 1:
-            raise ValueError(f"not a v1 KLL sketch dict: {d.get('type')!r}")
-        sk = cls(d["k"])
-        sk.n = d["n"]
-        sk.levels = [[np.asarray(a, dtype=np.float64)] for a in d["levels"]]
-        sk._counts = [a.size for a in (np.asarray(x) for x in d["levels"])]
-        if not sk.levels:
-            sk.levels, sk._counts = [[]], [0]
-        sk._rng_src = d["rng_state"]
-        return sk
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KllSketch(k={self.k}, n={self.n}, retained={self.num_retained()})"

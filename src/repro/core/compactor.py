@@ -145,18 +145,3 @@ class RelativeCompactor:
         self._count = kept.size
         self.state += 1
         return promoted
-
-    # ------------------------------------------------------------------ serde
-
-    def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "schedule": self.schedule,
-            "values": self.values().copy(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, params: CompactorParams) -> "RelativeCompactor":
-        c = cls(params, schedule=d["schedule"], state=d["state"])
-        c.append(np.asarray(d["values"], dtype=np.float64))
-        return c

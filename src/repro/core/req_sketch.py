@@ -215,8 +215,16 @@ class ReqSketch(LazyRng, estimator.Queries):
         return a.copy().merge(b)
 
     def copy(self) -> "ReqSketch":
-        """Deep copy (buffers copied; RNG state copied, streams diverge)."""
-        return self.from_dict(self.to_dict())
+        """Independent copy.  It gets the generator's state, not the
+        generator, so the two streams diverge; it shares the level arrays,
+        which no code writes into in place."""
+        cp = type(self)(
+            self.k, schedule=self.schedule, khat=self._khat, k_const=self._k_const, N0=self.N
+        )
+        cp.n, cp._min_B = self.n, self._min_B
+        cp.levels = [cp._new_level(lv.state, lv.values()) for lv in self.levels]
+        cp._rng_src = self._rng_src if self._rng is None else self._rng_state()
+        return cp
 
     # ----------------------------------------------------------------- queries
 
@@ -224,58 +232,13 @@ class ReqSketch(LazyRng, estimator.Queries):
         """(weight, unsorted items) per level — the Estimate-Rank coreset."""
         return [(1 << h, lv.values()) for h, lv in enumerate(self.levels)]
 
-    # ------------------------------------------------------------------- serde
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "req",
-            "version": 1,
-            "k": self.k,
-            "khat": self._khat,
-            "k_const": self._k_const,
-            "schedule": self.schedule,
-            "N": self.N,
-            "n": self.n,
-            "min_B": self._min_B,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "rng_state": self._rng_state(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReqSketch":
-        """Rebuild a sketch from ``to_dict`` output.  Builds no generator:
-        the saved ``rng_state`` is restored at the first draw.
-
-        Re-encoding a decoded sketch gives the bytes it was decoded from.
-        Pickle writes equal strings once only if they are one object, so
-        a schedule that was the type tag's ``"req"`` object stays so.
-        """
-        if d.get("type") != "req" or d.get("version") != 1:
-            raise ValueError(f"not a v1 REQ sketch dict: {d.get('type')!r}")
-        schedule = "req" if d["schedule"] is d["type"] else d["schedule"]
-        sk = cls(
-            d["k"],
-            schedule=schedule,
-            khat=d["khat"],
-            k_const=d["k_const"],
-            N0=d["N"],
-        )
-        sk.n = d["n"]
-        sk._min_B = d["min_B"]
-        sk.levels = [
-            RelativeCompactor.from_dict(ld, sk.params) for ld in d["levels"]
-        ]
-        for lv in sk.levels:
-            lv.schedule = schedule
-        if not sk.levels:
-            sk.levels = [sk._new_level()]
-        sk._rng_src = d["rng_state"]
-        return sk
-
     # --------------------------------------------------------------- internals
 
-    def _new_level(self) -> RelativeCompactor:
-        return RelativeCompactor(self.params, schedule=self.schedule)
+    def _new_level(self, state: int = 0, items: Optional[np.ndarray] = None) -> RelativeCompactor:
+        lv = RelativeCompactor(self.params, schedule=self.schedule, state=state)
+        if items is not None:
+            lv.append(items)
+        return lv
 
     def _check_mergeable(self, other: "ReqSketch") -> None:
         if not isinstance(other, ReqSketch):

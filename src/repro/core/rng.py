@@ -3,16 +3,18 @@
 Building a ``numpy.random.Generator`` costs tens of microseconds, about
 as much as decoding a small sketch.  A decoded sketch that is only
 merged into another one never flips a coin of its own, so sketches keep
-the *source* of their generator -- an int seed or a saved
-``bit_generator.state`` dict -- and build the generator on first use.
-The stream is the same as that of an eagerly built generator.
+the *source* of their generator -- an int seed or the four PCG64 fields
+a blob carries -- and build the generator on first use.  The stream is
+the same as that of an eagerly built generator.
 """
 from __future__ import annotations
 
-import sys
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
+
+# PCG64 ``(state, inc, has_uint32, uinteger)``.
+Pcg64Fields = Tuple[int, int, int, int]
 
 
 class LazyRng:
@@ -23,15 +25,21 @@ class LazyRng:
     """
 
     _rng: Optional[np.random.Generator] = None
-    _rng_src: Union[int, dict] = 0
+    _rng_src: Union[int, Pcg64Fields] = 0
 
     @property
     def rng(self) -> np.random.Generator:
         if self._rng is None:
             src = self._rng_src
-            if isinstance(src, dict):
+            if isinstance(src, tuple):
+                state, inc, has_uint32, uinteger = src
                 self._rng = np.random.default_rng()
-                self._rng.bit_generator.state = src
+                self._rng.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": has_uint32,
+                    "uinteger": uinteger,
+                }
             else:
                 self._rng = np.random.default_rng(src)
         return self._rng
@@ -40,19 +48,12 @@ class LazyRng:
     def rng(self, gen: np.random.Generator) -> None:
         self._rng = gen
 
-    def _rng_state(self) -> dict:
-        """The generator's state for ``to_dict``: the decoded state while
-        no generator has been built."""
-        if self._rng is None and isinstance(self._rng_src, dict):
-            return _interned(self._rng_src)
-        return self.rng.bit_generator.state
-
-
-def _interned(d: dict) -> dict:
-    """``d`` with interned keys, as ``bit_generator.state`` builds it.
-
-    Pickle writes a string once and then refers back to it only when it
-    is the same object; a decoded dict's keys are fresh strings, so
-    without this the re-encoded bytes would differ from the original.
-    """
-    return {sys.intern(k): _interned(v) if isinstance(v, dict) else v for k, v in d.items()}
+    def _rng_state(self) -> Pcg64Fields:
+        """The generator's PCG64 fields: the decoded ones while no
+        generator has been built."""
+        if self._rng is None and isinstance(self._rng_src, tuple):
+            return self._rng_src
+        st = self.rng.bit_generator.state
+        if st["bit_generator"] != "PCG64":
+            raise ValueError(f"only a PCG64 generator can be saved, not {st['bit_generator']}")
+        return st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"]

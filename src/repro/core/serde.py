@@ -1,40 +1,131 @@
-"""Versioned byte serialization for sketches shipped through Spark.
+"""The sketch wire format: one validated little-endian byte layout.
 
 Executors build partial sketches per partition and return them to the
-driver (or to ``treeAggregate`` combiners) as opaque ``bytes`` columns;
-this module is the single choke point for the wire format so the format
-can evolve without touching the dataflow code.
+driver (or to ``treeReduce`` combiners) as opaque ``bytes`` columns;
+this module is the only code that writes or reads those bytes.  Only
+``ReqSketch`` goes on the wire.
 
-The payload is a pickled plain dict produced by each sketch class's
-``to_dict`` (numpy arrays + scalars only — no live objects), prefixed
-with a magic/version header.
+Layout (``struct``, little-endian, no padding; a u128 is two u64, low
+half first)::
+
+    offset  type     field
+    0       4s       magic b"RQSK"
+    4       u8       version, 2
+    5       u8       schedule: 0 = "req", 1 = "all"
+    6       u32      k
+    10      f8       k-hat, NaN for a fixed-k sketch
+    18      u32      k_const
+    22      u128     N
+    38      u64      n
+    46      u64      min_B
+    54      u32      level count L
+    58      u128     PCG64 state
+    74      u128     PCG64 inc
+    90      u8       PCG64 has_uint32
+    91      u32      PCG64 uinteger
+    95      L x 12   per level: schedule state (u64), item count (u32)
+    95+12L  f8       every level's items, level 0 first
+
+Version 1, a retired format, has no reader.  ``from_bytes``
+checks the whole blob before it builds a sketch and raises
+``ValueError`` on any malformed input.  A decoded sketch's level arrays
+are read-only views of the blob (``RelativeCompactor`` never writes
+into a level array in place).
 """
 from __future__ import annotations
 
-import pickle
+import math
+import struct
 from typing import Union
 
-_MAGIC = b"REPROSK1"
+import numpy as np
+
+from repro.core import params as P
+from repro.core.req_sketch import ReqSketch
+
+_MAGIC = b"RQSK"
+_VERSION = 2
+_SCHEDULES = ("req", "all")
+_HEAD = struct.Struct("<4sBBIdIQQQQIQQQQBI")
+_LEVEL = struct.Struct("<QI")
+_ITEM = np.dtype("<f8")
+_U64 = (1 << 64) - 1
 
 
-def to_bytes(sketch) -> bytes:
-    """Serialize any sketch exposing ``to_dict()``."""
-    return _MAGIC + pickle.dumps(sketch.to_dict(), protocol=pickle.HIGHEST_PROTOCOL)
+def to_bytes(sketch: ReqSketch) -> bytes:
+    """Serialize a ``ReqSketch``."""
+    if not isinstance(sketch, ReqSketch):
+        raise TypeError(f"only ReqSketch has a wire format, not {type(sketch).__name__}")
+    N = sketch.N
+    if N >> 128:
+        raise ValueError(f"N = {N} does not fit the format's 128 bits")
+    state, inc, has_uint32, uinteger = sketch._rng_state()
+    items = [lv.values() for lv in sketch.levels]
+    head = _HEAD.pack(
+        _MAGIC, _VERSION, _SCHEDULES.index(sketch.schedule), sketch.k,
+        math.nan if sketch._khat is None else sketch._khat, sketch._k_const,
+        N & _U64, N >> 64, sketch.n, sketch._min_B, len(items),
+        state & _U64, state >> 64, inc & _U64, inc >> 64, has_uint32, uinteger,
+    )
+    table = [_LEVEL.pack(lv.state, v.size) for lv, v in zip(sketch.levels, items)]
+    return b"".join([head, *table, *(v.astype(_ITEM, copy=False).tobytes() for v in items)])
 
 
-def from_bytes(blob: Union[bytes, bytearray]):
-    """Deserialize a sketch; dispatches on the dict's ``type`` tag."""
+def from_bytes(blob: Union[bytes, bytearray]) -> ReqSketch:
+    """Validate a blob and rebuild its sketch.  Builds no generator: the
+    PCG64 fields are restored at the sketch's first draw."""
     blob = bytes(blob)
     if not blob.startswith(_MAGIC):
-        raise ValueError("not a repro sketch payload (bad magic)")
-    d = pickle.loads(blob[len(_MAGIC):])
-    t = d.get("type")
-    if t == "req":
-        from repro.core.req_sketch import ReqSketch
-
-        return ReqSketch.from_dict(d)
-    if t == "kll":
-        from repro.baselines.kll import KllSketch
-
-        return KllSketch.from_dict(d)
-    raise ValueError(f"unknown sketch type tag {t!r}")
+        raise ValueError("not a sketch blob (bad magic)")
+    if len(blob) < _HEAD.size:
+        raise ValueError(f"truncated sketch blob: {len(blob)} bytes")
+    (_, version, sched, k, khat, k_const, N_lo, N_hi, n, min_B, L,
+     s_lo, s_hi, i_lo, i_hi, has_uint32, uinteger) = _HEAD.unpack_from(blob)
+    if version != _VERSION:
+        raise ValueError(f"unsupported sketch format version {version}")
+    table_end = _HEAD.size + L * _LEVEL.size
+    if len(blob) < table_end:
+        raise ValueError(f"truncated sketch blob: {len(blob)} bytes, table ends at {table_end}")
+    levels = [_LEVEL.unpack_from(blob, _HEAD.size + h * _LEVEL.size) for h in range(L)]
+    total = sum(count for _, count in levels)
+    if len(blob) != table_end + total * _ITEM.itemsize:
+        raise ValueError(
+            f"sketch blob holds {len(blob)} bytes, its layout {table_end + total * _ITEM.itemsize}"
+        )
+    if sched >= len(_SCHEDULES):
+        raise ValueError(f"unknown schedule byte {sched}")
+    if k < 2 or k % 2:
+        raise ValueError(f"k must be an even integer >= 2, got {k}")
+    N = N_lo | N_hi << 64
+    if N < 2 or n > N:
+        raise ValueError(f"need 2 <= N and n <= N, got N = {N}, n = {n}")
+    if math.isnan(khat):
+        khat = None
+    elif not (math.isfinite(khat) and khat > 0):
+        raise ValueError(f"k-hat must be finite and positive, got {khat}")
+    elif k != P.k_of_N(khat, N, const=k_const):
+        raise ValueError(f"k = {k} is not k(N) = {P.k_of_N(khat, N, const=k_const)}")
+    B = P.buffer_size(k, P.num_sections_mergeable(N, k))
+    if not 0 < min_B <= B:
+        raise ValueError(f"need 0 < min_B <= B = {B}, got {min_B}")
+    if has_uint32 > 1:
+        raise ValueError(f"PCG64 has_uint32 must be 0 or 1, got {has_uint32}")
+    if not i_lo & 1:
+        raise ValueError("PCG64 increment must be odd")
+    if L == 0:
+        raise ValueError("a sketch has at least one level")
+    if any(count > B for _, count in levels):
+        raise ValueError(f"a level holds more than B = {B} items")
+    if sum(count << h for h, (_, count) in enumerate(levels)) != n:
+        raise ValueError(f"level weights do not sum to n = {n}")
+    items = np.frombuffer(blob, _ITEM, total, table_end)
+    if np.isnan(items).any():
+        raise ValueError("NaN item in sketch blob")
+    sk = ReqSketch(k, schedule=_SCHEDULES[sched], khat=khat, k_const=k_const, N0=N)
+    sk.n, sk._min_B = n, min_B
+    sk.levels, pos = [], 0
+    for state, count in levels:
+        sk.levels.append(sk._new_level(state, items[pos : pos + count]))
+        pos += count
+    sk._rng_src = (s_lo | s_hi << 64, i_lo | i_hi << 64, has_uint32, uinteger)
+    return sk

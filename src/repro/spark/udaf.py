@@ -19,6 +19,7 @@ pure-Python package does not have (see DESIGN.md).
 """
 from __future__ import annotations
 
+import hashlib
 from typing import List, Sequence
 
 import numpy as np
@@ -35,8 +36,15 @@ from repro.spark.aggregate import fill_sketch, merge_sequential
 def _group_sketch(
     key: tuple, pdf: pd.DataFrame, value_col: str, template: ReqSketch, seed: int
 ) -> ReqSketch:
-    """The per-group build: ``fill_sketch`` seeded by the group key."""
-    entropy = [seed] + [abs(hash(str(v))) % (2 ** 31) for v in key]
+    """The per-group build: ``fill_sketch`` seeded by the group key.
+
+    Each key part contributes a 4-byte BLAKE2b digest of ``str(v)``, which,
+    unlike ``hash``, is the same in every process.
+    """
+    entropy = [seed] + [
+        int.from_bytes(hashlib.blake2b(str(v).encode(), digest_size=4).digest(), "little")
+        for v in key
+    ]
     return fill_sketch(template, entropy, [pdf[value_col]])
 
 

@@ -180,12 +180,3 @@ class TestAllSchedule:
         assert len(c) == B // 2
         assert out.size == B // 4
 
-
-class TestSerde:
-    def test_roundtrip(self):
-        c = make(k=4, sections=3, state=5)
-        c.append(np.array([3.0, 1.0, 2.0]))
-        d = c.to_dict()
-        c2 = RelativeCompactor.from_dict(d, c.params)
-        assert c2.state == 5 and c2.schedule == "req"
-        assert list(c2.values()) == list(c.values())

@@ -106,15 +106,3 @@ class TestMerge:
             acc.merge(KllSketch(k=60, seed=20 + i).update(stream_array("uniform", 5000, seed=30 + i)))
         assert acc.num_retained() <= 8 * 60
 
-
-class TestSerde:
-    def test_roundtrip(self):
-        sk = KllSketch(k=40, seed=14).update(stream_array("uniform", 9000, seed=14))
-        cp = KllSketch.from_dict(sk.to_dict())
-        qs = np.linspace(0, 1, 30)
-        assert cp.total_weight() == sk.total_weight()
-        assert np.array_equal(cp.ranks(qs), sk.ranks(qs))
-
-    def test_bad_dict_rejected(self):
-        with pytest.raises(ValueError):
-            KllSketch.from_dict({"type": "nope"})

@@ -1,4 +1,8 @@
 """Wire-format tests for sketches shipped through Spark."""
+import math
+import pickle
+import struct
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -63,15 +67,6 @@ class TestReqRoundtrip:
         assert np.array_equal(sk.ranks(qs), cp.ranks(qs))
 
 
-class TestKllRoundtrip:
-    def test_roundtrip(self):
-        sk = KllSketch(k=50, seed=9).update(stream_array("uniform", 9000, seed=9))
-        cp = serde.from_bytes(serde.to_bytes(sk))
-        assert isinstance(cp, KllSketch)
-        qs = np.linspace(0, 1, 25)
-        assert np.array_equal(cp.ranks(qs), sk.ranks(qs))
-
-
 def _fill_blob(n=3_000, seed=5):
     vals = pd.Series(stream_array("uniform", n, seed=seed))
     return serde.to_bytes(fill_sketch(ReqSketch(8), [seed, 0], [vals]))
@@ -84,10 +79,17 @@ def _merged_blob():
 
 
 def _eager(blob):
-    """A decoded sketch with its generator restored at once."""
+    """A decoded sketch with its generator restored at once from the
+    blob's PCG64 fields (offset 58 of the layout)."""
     sk = serde.from_bytes(blob)
+    s_lo, s_hi, i_lo, i_hi, has_uint32, uinteger = struct.unpack_from("<QQQQBI", blob, 58)
     gen = np.random.default_rng()
-    gen.bit_generator.state = sk.to_dict()["rng_state"]
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": s_lo | s_hi << 64, "inc": i_lo | i_hi << 64},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
     sk.rng = gen
     return sk
 
@@ -134,13 +136,15 @@ class TestGeneratorOnFirstDraw:
         more = stream_array("uniform", 20_000, seed=11)
         assert serde.to_bytes(cp.update(more)) == serde.to_bytes(_eager(blob).update(more))
 
-    def test_kll_reencode_is_identical(self):
-        sk = KllSketch(k=50, seed=12).update(stream_array("uniform", 9000, seed=12))
+    def test_copy_takes_state_not_generator(self):
+        sk = ReqSketch(8, seed=12).update(stream_array("uniform", 5_000, seed=12))
+        assert sk._rng is not None  # it compacted, so it drew
         blob = serde.to_bytes(sk)
-        cp = serde.from_bytes(blob)
-        assert serde.to_bytes(cp) == blob
-        more = stream_array("uniform", 5_000, seed=13)
-        assert serde.to_bytes(cp.update(more)) == serde.to_bytes(sk.update(more))
+        cp = sk.copy()
+        more = stream_array("uniform", 20_000, seed=13)
+        cp.update(more)
+        assert serde.to_bytes(sk) == blob
+        assert serde.to_bytes(cp) == serde.to_bytes(sk.update(more))
 
 
 class TestFormat:
@@ -159,3 +163,219 @@ class TestFormat:
         sk = ReqSketch(8).update([1.0, 2.0])
         cp = serde.from_bytes(bytearray(serde.to_bytes(sk)))
         assert cp.n == 2
+
+
+def _items(n):
+    """A fixed permutation of small integers, independent of any RNG."""
+    return np.array([(i * 37) % 101 for i in range(n)], dtype=np.float64)
+
+
+# name -> (sketch builder, fixture hex, expected decode: n, N, k, schedule,
+# level states, level sizes, ranks of 10, 50 and 90). The adaptive sketch
+# starts at N = 16 and grows once, to 256.
+GOLDEN = {
+    "fixed_k": (
+        lambda: ReqSketch(4, seed=7).update(_items(60)),
+        "5251534b020004000000000000000000f87f200000000004000000000000000000000000"
+        "00003c0000000000000020000000000000000200000071581c9c5b4d26e10d328c9db3ef"
+        "749859d970c05a7f8866bfce8ace961875c400a94106a002000000000000002800000000"
+        "000000000000000a00000000000000000000000000000000000840000000000000184000"
+        "0000000000224000000000000024400000000000002a4000000000000030400000000000"
+        "00344000000000000037400000000000003a400000000000003e40000000000080404000"
+        "000000000042400000000000804240000000000000444000000000008045400000000000"
+        "0033400000000000004c4000000000004057400000000000003d40000000000080504000"
+        "000000000000400000000000804340000000000000534000000000000028400000000000"
+        "804840000000000080554000000000000036400000000000804d40000000000000584000"
+        "000000000040400000000000405140000000000000144000000000000045400000000000"
+        "c053400000000000002e400000000000004a400000000000405640000000000000394000"
+        "00000000004f400000000000805740000000000000594000000000008047400000000000"
+        "804a400000000000004e400000000000c050400000000000405240000000000040534000"
+        "00000000c054400000000000c05540",
+        (60, 1024, 4, "req", [2, 0], [40, 10], [7, 30, 54]),
+    ),
+    "adaptive_grown": (
+        lambda: ReqSketch.from_error_mergeable(0.5, 0.5, seed=8, k_const=2).update(_items(40)),
+        "5251534b02000200000047cd619149a4fa3f020000000001000000000000000000000000"
+        "000028000000000000001000000000000000020000003410f809e63199b50b567b22ae76"
+        "a2f02d188c1feb8d7b300fbbfb9c2f86be2d008274b45302000000000000001e00000000"
+        "000000000000000500000000000000000000000000000000000840000000000000244000"
+        "00000000002a40000000000000344000000000000037400000000000003e400000000000"
+        "8042400000000000004e4000000000004058400000000000804040000000000080514000"
+        "000000000018400000000000804540000000000000544000000000000030400000000000"
+        "804a4000000000008056400000000000003a400000000000804f40000000000000594000"
+        "000000000042400000000000405240000000000000224000000000000047400000000000"
+        "c0544000000000000033400000000000004c4000000000004057400000000000003d4000"
+        "00000000805740000000000000444000000000000049400000000000c050400000000000"
+        "405340",
+        (40, 256, 2, "req", [2, 0], [30, 5], [5, 22, 35]),
+    ),
+    "schedule_all": (
+        lambda: ReqSketch(4, seed=9, schedule="all").update(_items(60)),
+        "5251534b020104000000000000000000f87f200000000004000000000000000000000000"
+        "00003c00000000000000200000000000000002000000a62e48cb7cef3de46ef0694c9684"
+        "e342dbd9488780f9eb0e5843db36872cd92300dea6c8de02000000000000001c00000000"
+        "000000000000001000000000000000000000000000000000000040000000000000084000"
+        "000000000018400000000000002240000000000000244000000000000028400000000000"
+        "002a40000000000000304000000000000033400000000000003440000000000000364000"
+        "000000000037400000000000003a400000000000003d400000000000003e400000000000"
+        "804d40000000000000584000000000000040400000000000405140000000000000144000"
+        "000000000045400000000000c053400000000000002e400000000000004a400000000000"
+        "40564000000000000039400000000000004f4000000000000049400000000000804c4000"
+        "00000000804f400000000000805140000000000040534000000000000055400000000000"
+        "805640000000000040584000000000000042400000000000804340000000000080454000"
+        "000000008047400000000000004c4000000000004052400000000000c054400000000000"
+        "405740",
+        (60, 1024, 4, "all", [2, 0], [28, 16], [7, 31, 55]),
+    ),
+}
+
+
+def _golden(name):
+    make, hexed, _ = GOLDEN[name]
+    return make(), bytes.fromhex(hexed)
+
+
+class TestGoldenBytes:
+    """The byte layout is pinned: a change to it must change these fixtures."""
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_encoding_matches_fixture(self, name):
+        sk, blob = _golden(name)
+        assert serde.to_bytes(sk) == blob
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_fixture_decodes(self, name):
+        n, N, k, schedule, states, sizes, ranks = GOLDEN[name][2]
+        blob = _golden(name)[1]
+        sk = serde.from_bytes(blob)
+        assert (sk.n, sk.N, sk.k, sk.schedule) == (n, N, k, schedule)
+        assert [lv.state for lv in sk.levels] == states
+        assert [len(lv) for lv in sk.levels] == sizes
+        assert sk.ranks([10.0, 50.0, 90.0]).tolist() == ranks
+        assert serde.to_bytes(sk) == blob
+
+
+def _patched(blob, offset, fmt, value):
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+def _first_item(sk):
+    """Offset of level 0's first item: the header, then the level table."""
+    return 95 + 12 * sk.num_levels
+
+
+# name -> (golden sketch, (offset, struct format, value) from the sketch, message)
+CORRUPTIONS = {
+    "version_1": ("fixed_k", lambda sk: (4, "<B", 1), "version"),
+    "schedule_byte_2": ("fixed_k", lambda sk: (5, "<B", 2), "schedule"),
+    "odd_k": ("fixed_k", lambda sk: (6, "<I", 5), "even"),
+    "zero_k": ("fixed_k", lambda sk: (6, "<I", 0), "even"),
+    "khat_inf": ("adaptive_grown", lambda sk: (10, "<d", math.inf), "finite"),
+    "khat_zero": ("adaptive_grown", lambda sk: (10, "<d", 0.0), "finite"),
+    "k_not_k_of_N": ("adaptive_grown", lambda sk: (6, "<I", sk.k + 2), r"k\(N\)"),
+    "N_below_2": ("fixed_k", lambda sk: (22, "<Q", 1), "2 <= N"),
+    "n_above_N": ("fixed_k", lambda sk: (38, "<Q", sk.N + 1), "n <= N"),
+    "min_B_zero": ("fixed_k", lambda sk: (46, "<Q", 0), "min_B"),
+    "min_B_above_B": ("fixed_k", lambda sk: (46, "<Q", sk.B + 1), "min_B"),
+    "has_uint32_2": ("fixed_k", lambda sk: (90, "<B", 2), "has_uint32"),
+    "even_increment": ("fixed_k", lambda sk: (74, "<Q", 2), "odd"),
+    "weights_not_n": ("fixed_k", lambda sk: (38, "<Q", sk.n + 1), "sum to n"),
+    "nan_item": ("fixed_k", lambda sk: (_first_item(sk), "<d", math.nan), "NaN"),
+    "nan_last_item": (
+        "schedule_all",
+        lambda sk: (_first_item(sk) + 8 * (sk.num_retained() - 1), "<d", math.nan),
+        "NaN",
+    ),
+}
+
+
+class TestMalformed:
+    """Every malformed blob raises ``ValueError`` before a sketch is built."""
+
+    def test_every_truncation_rejected(self):
+        blob = _golden("fixed_k")[1]
+        for end in range(len(blob)):
+            with pytest.raises(ValueError):
+                serde.from_bytes(blob[:end])
+
+    def test_trailing_byte_rejected(self):
+        with pytest.raises(ValueError, match="layout"):
+            serde.from_bytes(_golden("fixed_k")[1] + b"\x00")
+
+    def test_bad_magic_rejected(self):
+        blob = _golden("fixed_k")[1]
+        with pytest.raises(ValueError, match="magic"):
+            serde.from_bytes(b"RQSX" + blob[4:])
+
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_corrupt_field_rejected(self, name):
+        base, where, match = CORRUPTIONS[name]
+        sk, blob = _golden(base)
+        with pytest.raises(ValueError, match=match):
+            serde.from_bytes(_patched(blob, *where(sk)))
+
+    def test_level_over_capacity_rejected(self):
+        sk = ReqSketch(4, N0=1024)
+        sk.levels[0].append(np.arange(sk.B + 2.0))
+        sk.n = sk.B + 2
+        with pytest.raises(ValueError, match="more than B"):
+            serde.from_bytes(serde.to_bytes(sk))
+
+    def test_no_levels_rejected(self):
+        blob = serde.to_bytes(ReqSketch(4))
+        with pytest.raises(ValueError, match="at least one level"):
+            serde.from_bytes(_patched(blob, 54, "<I", 0)[:95])
+
+    def test_never_unpickles(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle.loads called on sketch bytes")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "load", refuse)
+        v1 = b"REPROSK1" + pickle.dumps(
+            {
+                "type": "req",
+                "version": 1,
+                "k": 8,
+                "khat": None,
+                "k_const": 32,
+                "schedule": "req",
+                "N": 64,
+                "n": 2,
+                "min_B": 64,
+                "levels": [{"state": 0, "schedule": "req", "values": np.array([1.0, 2.0])}],
+                "rng_state": np.random.default_rng(0).bit_generator.state,
+            }
+        )
+        with pytest.raises(ValueError, match="magic"):
+            serde.from_bytes(v1)
+        for name in GOLDEN:
+            serde.from_bytes(_golden(name)[1])
+
+
+class TestEncoder:
+    def test_only_req_sketches(self):
+        with pytest.raises(TypeError):
+            serde.to_bytes(KllSketch(k=50).update([1.0, 2.0]))
+
+    def test_N_beyond_64_bits_is_lossless(self):
+        sk = ReqSketch(4, seed=1, N0=2 ** 100 + 3).update(_items(50))
+        blob = serde.to_bytes(sk)
+        cp = serde.from_bytes(blob)
+        assert cp.N == sk.N and cp.B == sk.B
+        assert serde.to_bytes(cp) == blob
+
+    def test_N_beyond_128_bits_refused(self):
+        with pytest.raises(ValueError, match="128 bits"):
+            serde.to_bytes(ReqSketch(4, N0=2 ** 128))
+
+    def test_non_pcg64_generator_refused(self):
+        sk = ReqSketch(4, _rng=np.random.Generator(np.random.MT19937(1)))
+        with pytest.raises(ValueError, match="PCG64"):
+            serde.to_bytes(sk)
+
+    def test_decoded_levels_are_read_only(self):
+        sk = serde.from_bytes(_golden("fixed_k")[1])
+        assert not any(lv.values().flags.writeable for lv in sk.levels)

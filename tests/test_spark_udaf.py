@@ -6,9 +6,10 @@ from pyspark.sql import functions as F
 
 from repro import synth_data as sd
 from repro.core import serde
+from repro.core.req_sketch import ReqSketch
 from repro.oracle import assert_equivalent
 from repro.spark import udaf
-from repro.spark.aggregate import merge_sequential
+from repro.spark.aggregate import fill_sketch, merge_sequential
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +132,24 @@ class TestRollup:
         )
         with pytest.raises(ValueError):
             udaf.merge_group_sketches(empty)
+
+
+class TestGroupSeeds:
+    """A group's RNG entropy is a 4-byte BLAKE2b digest of each key part,
+    so it does not depend on the process's ``PYTHONHASHSEED``."""
+
+    # key -> entropy after the seed, one value per key part
+    PINNED = {
+        (1,): [120362236],
+        ("A",): [2473737391],
+        ("N", "O"): [1546723501, 590930483],
+        (20240, None): [1102864055, 2152912699],
+    }
+
+    @pytest.mark.parametrize("key", PINNED, ids=str)
+    def test_pinned_entropy(self, key):
+        pdf = pd.DataFrame({"x": np.arange(200.0)})
+        template = ReqSketch(4)
+        got = udaf._group_sketch(key, pdf, "x", template, seed=5)
+        want = fill_sketch(template, [5] + self.PINNED[key], [pdf["x"]])
+        assert serde.to_bytes(got) == serde.to_bytes(want)
