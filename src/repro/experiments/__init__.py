@@ -1,4 +1,7 @@
-"""One module per reproduced table; each exposes run() and PAPER_CLAIM."""
+"""One module per reproduced table; each exposes run(), check() and PAPER_CLAIM.
+
+``python -m repro.experiments tN [--quick]`` runs table N and its check.
+"""
 from repro.experiments import (  # noqa: F401
     t1_space_vs_n,
     t2_space_vs_eps,
@@ -9,10 +12,10 @@ from repro.experiments import (  # noqa: F401
 )
 
 ALL_TABLES = {
-    "T1": t1_space_vs_n,
-    "T2": t2_space_vs_eps,
-    "T3": t3_accuracy_tails,
-    "T4": t4_mergeability,
-    "T5": t5_throughput,
-    "T6": t6_all_quantiles,
+    "t1": t1_space_vs_n,
+    "t2": t2_space_vs_eps,
+    "t3": t3_accuracy_tails,
+    "t4": t4_mergeability,
+    "t5": t5_throughput,
+    "t6": t6_all_quantiles,
 }

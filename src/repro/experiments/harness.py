@@ -1,13 +1,14 @@
-"""Shared experiment utilities: timing, error sweeps, table formatting.
+"""Shared experiment utilities: error sweeps, table formatting.
 
 Every experiment module exposes ``run(spark=None, *, quick=False) ->
-pandas.DataFrame`` plus a ``PAPER_CLAIM`` string; jobs print the frame
-with :func:`format_table` and EXPERIMENTS.md records paper-vs-measured.
-``quick=True`` shrinks sizes for CI-speed smoke tests.
+pandas.DataFrame``, a ``check(df)`` that asserts the table's shape, and
+a ``PAPER_CLAIM`` string; ``python -m repro.experiments`` prints the
+frame with :func:`format_table` and EXPERIMENTS.md records
+paper-vs-measured.  ``quick=True`` shrinks sizes for CI-speed smoke
+tests.
 """
 from __future__ import annotations
 
-import time
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,13 +25,6 @@ def format_table(df: pd.DataFrame, title: str = "") -> str:
     ):
         body = df.to_string(index=False)
     return f"== {title} ==\n{body}" if title else body
-
-
-def timed(fn: Callable[[], object]) -> tuple[object, float]:
-    """Run ``fn`` once, returning (result, elapsed_seconds)."""
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
 
 
 def rank_grid(n: int, *, per_decade: int = 3) -> np.ndarray:

@@ -60,3 +60,9 @@ def run(spark=None, *, quick: bool = False) -> pd.DataFrame:
         np.log2(EPS * df["n"].to_numpy()), df["kll_retained"].to_numpy()
     )
     return df
+
+
+def check(df: pd.DataFrame) -> None:
+    """The naive schedule retains more than REQ at every n."""
+    if not (df["naive_retained"] > df["req_retained"]).all():
+        raise AssertionError("naive space <= REQ space at some n")

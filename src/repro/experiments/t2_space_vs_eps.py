@@ -47,3 +47,10 @@ def run(spark=None, *, quick: bool = False) -> pd.DataFrame:
     df.attrs["req_eps_exponent"] = growth_exponent(inv_eps, df["req_retained"])
     df.attrs["naive_eps_exponent"] = growth_exponent(inv_eps, df["naive_retained"])
     return df
+
+
+def check(df: pd.DataFrame) -> None:
+    """Naive's space over REQ's grows from the coarsest to the finest eps."""
+    ratio = df["naive_over_req"]
+    if not ratio.iloc[-1] > ratio.iloc[0]:
+        raise AssertionError(f"naive/REQ space did not grow: {list(ratio)}")

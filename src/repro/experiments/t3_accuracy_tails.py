@@ -57,3 +57,12 @@ def run(spark=None, *, quick: bool = False, kind: str = "permutation") -> pd.Dat
     df.attrs["n"] = n
     df.attrs["space"] = {"req": req_space, "kll": kll_space, "sample": samp_space}
     return df
+
+
+def check(df: pd.DataFrame) -> None:
+    """REQ is exact at ranks <= 10, where KLL is off by more than 100%."""
+    low = df[df["rank"] <= 10]
+    if low["req_max_rel"].max() != 0.0:
+        raise AssertionError("REQ not exact at ranks <= 10")
+    if not low["kll_max_rel"].max() > 1.0:
+        raise AssertionError("KLL within 100% at ranks <= 10")

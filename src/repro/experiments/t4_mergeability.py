@@ -103,3 +103,11 @@ def run(spark, *, quick: bool = False, sf: float | None = None) -> pd.DataFrame:
     out.attrs["n"] = n
     df.unpersist()
     return out
+
+
+def check(df: pd.DataFrame) -> None:
+    """Every build conserves weight and stays in the 0.08 error band."""
+    if not df["weight_ok"].all():
+        raise AssertionError("a build lost or gained weight")
+    if not df["max_rel_err"].max() < 0.08:
+        raise AssertionError(f"max rel err {df['max_rel_err'].max()} >= 0.08")

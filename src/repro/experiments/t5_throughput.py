@@ -50,3 +50,10 @@ def run(spark=None, *, quick: bool = False) -> pd.DataFrame:
     df["cost_ratio_vs_first"] = df["ns_per_item"] / base["ns_per_item"]
     df["log_ratio_vs_first"] = df["log2_B"] / base["log2_B"]
     return df
+
+
+def check(df: pd.DataFrame) -> None:
+    """Per-item cost at the largest k stays under 4x the smallest k's."""
+    ratio = df["cost_ratio_vs_first"].iloc[-1]
+    if not ratio < 4.0:
+        raise AssertionError(f"cost ratio {ratio:.2f} >= 4")

@@ -46,3 +46,11 @@ def run(spark=None, *, quick: bool = False, k: int = 64) -> pd.DataFrame:
             }
         )
     return pd.DataFrame(rows)
+
+
+def check(df: pd.DataFrame) -> None:
+    """The protected head is exact and no rank errs by 5% or more, per seed."""
+    if not df["head_exact"].all():
+        raise AssertionError("protected head not exact")
+    if not df["max_rel_all_y"].max() < 0.05:
+        raise AssertionError(f"max rel err {df['max_rel_all_y'].max()} >= 0.05")

@@ -8,8 +8,8 @@ guarantee (App. C) and the dataflow only chooses where merges run:
 
 * ``build_sketch(..., method="map_partitions")`` — ``mapInPandas``
   emits one partial per non-empty partition as bytes; the driver merges
-  the partials in a balanced binary tree (``merge_balanced``) or a left
-  fold (``merge_sequential``).
+  the partials in a balanced binary tree (``merge_balanced``).  T4 also
+  folds the same partials left to right (``merge_sequential``).
 * ``build_sketch(..., method="tree_aggregate")`` — the same partial
   blobs merged on executors by ``RDD.treeReduce`` (decode, merge,
   encode) with ``depth`` combiner levels; only the root reaches the
@@ -120,14 +120,13 @@ def build_sketch(
     khat: Optional[float] = None,
     k_const: int = 2 ** 5,
     method: str = "map_partitions",
-    merge_shape: str = "balanced",
     depth: int = 2,
 ) -> ReqSketch:
     """Build a REQ sketch of ``df[col]`` with the chosen merge placement.
 
-    ``method``: "map_partitions" (partials merged on the driver) or
-    "tree_aggregate" (partials merged on executors by ``treeReduce``).
-    ``merge_shape``: "balanced" or "sequential" (map_partitions only).
+    ``method``: "map_partitions" (partials merged on the driver by
+    ``merge_balanced``) or "tree_aggregate" (partials merged on
+    executors by ``treeReduce``).
     ``depth``: treeReduce depth (tree_aggregate only).
     """
     template = ReqSketch(k, schedule=schedule, khat=khat, k_const=k_const)
@@ -137,9 +136,4 @@ def build_sketch(
         return serde.from_bytes(blobs.treeReduce(_merge_blobs, depth))
     if method != "map_partitions":
         raise ValueError(f"unknown method {method!r}")
-    partials = partition_sketches(df, col, template=template, seed=seed)
-    if merge_shape == "balanced":
-        return merge_balanced(partials)
-    if merge_shape == "sequential":
-        return merge_sequential(partials)
-    raise ValueError(f"unknown merge_shape {merge_shape!r}")
+    return merge_balanced(partition_sketches(df, col, template=template, seed=seed))

@@ -8,7 +8,7 @@ validated against DuckDB before any sketch is judged against it.
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -48,19 +48,6 @@ def exact_ranks_sql(table: str, col: str, queries: Sequence[float]) -> str:
         f"FROM {table} t CROSS JOIN (VALUES {vals}) AS q(y) "
         f"GROUP BY q.y ORDER BY q.y"
     )
-
-
-def exact_group_quantiles_sql(
-    table: str, group_cols: List[str], col: str, phis: Sequence[float]
-) -> str:
-    """DuckDB SQL for exact per-group quantiles (for tolerance checks)."""
-    keys = ", ".join(group_cols)
-    selects = []
-    for phi in phis:
-        selects.append(
-            f"quantile_disc({col}, {float(phi)!r}) AS q_{str(phi).replace('.', '_')}"
-        )
-    return f"SELECT {keys}, {', '.join(selects)} FROM {table} GROUP BY {keys} ORDER BY {keys}"
 
 
 def rank_comparison_frame(

@@ -1,8 +1,8 @@
 """Synthetic OLAP data at a configurable scale factor.
 
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+the full-size T4 table uses SF=0.1. Generators are deterministic in
+``seed`` so the DuckDB oracle sees identical input.
 """
 import numpy as np
 import pandas as pd

@@ -1,6 +1,6 @@
-"""Smoke tests: every table harness runs (quick mode) and its measured
-shape agrees with the paper's qualitative claim."""
-import numpy as np
+"""Smoke tests: every table harness runs (quick mode), passes its own
+``check`` and its measured shape agrees with the paper's qualitative
+claim."""
 import pytest
 
 from repro.experiments import (
@@ -19,8 +19,28 @@ def t1():
 
 
 @pytest.fixture(scope="module")
+def t2():
+    return t2_space_vs_eps.run(quick=True)
+
+
+@pytest.fixture(scope="module")
 def t3():
     return t3_accuracy_tails.run(quick=True)
+
+
+@pytest.fixture(scope="module")
+def t4(spark):
+    return t4_mergeability.run(spark, quick=True)
+
+
+@pytest.fixture(scope="module")
+def t5():
+    return t5_throughput.run(quick=True)
+
+
+@pytest.fixture(scope="module")
+def t6():
+    return t6_all_quantiles.run(quick=True)
 
 
 class TestT1:
@@ -35,27 +55,31 @@ class TestT1:
         assert ratio < data_ratio / 3
 
     def test_naive_bigger_than_req(self, t1):
-        assert (t1["naive_retained"] > t1["req_retained"]).all()
+        t1_space_vs_n.check(t1)
 
     def test_kll_flat(self, t1):
         assert t1["kll_retained"].max() < 3 * t1["kll_retained"].min()
 
 
 class TestT2:
-    def test_linear_vs_quadratic_eps(self):
-        df = t2_space_vs_eps.run(quick=True)
-        # Naive's blow-up factor over REQ grows as eps shrinks.
-        assert df["naive_over_req"].is_monotonic_increasing
+    def test_check(self, t2):
+        t2_space_vs_eps.check(t2)
 
-    def test_k_scaling(self):
-        df = t2_space_vs_eps.run(quick=True)
+    def test_linear_vs_quadratic_eps(self, t2):
+        # Naive's blow-up factor over REQ grows as eps shrinks.
+        assert t2["naive_over_req"].is_monotonic_increasing
+
+    def test_k_scaling(self, t2):
         # k quadruples for naive when eps halves; roughly doubles for REQ.
-        req_ratio = df["req_k"].iloc[-1] / df["req_k"].iloc[0]
-        naive_ratio = df["naive_k"].iloc[-1] / df["naive_k"].iloc[0]
+        req_ratio = t2["req_k"].iloc[-1] / t2["req_k"].iloc[0]
+        naive_ratio = t2["naive_k"].iloc[-1] / t2["naive_k"].iloc[0]
         assert naive_ratio > 2.5 * req_ratio
 
 
 class TestT3:
+    def test_check(self, t3):
+        t3_accuracy_tails.check(t3)
+
     def test_req_flat_relative_error(self, t3):
         assert t3["req_max_rel"].max() < 0.02
 
@@ -74,13 +98,11 @@ class TestT3:
 
 
 class TestT4:
-    def test_all_builds_within_band(self, spark):
-        df = t4_mergeability.run(spark, quick=True)
-        assert (df["weight_ok"]).all()
-        assert df["max_rel_err"].max() < 0.08
-        stream_err = df[df["build"] == "driver_stream"]["max_rel_err"].iloc[0]
+    def test_all_builds_within_band(self, t4):
+        t4_mergeability.check(t4)
+        stream_err = t4[t4["build"] == "driver_stream"]["max_rel_err"].iloc[0]
         # No distributed build an order of magnitude worse than streaming.
-        assert df["max_rel_err"].max() <= max(10 * max(stream_err, 0.005), 0.05)
+        assert t4["max_rel_err"].max() <= max(10 * max(stream_err, 0.005), 0.05)
 
     def test_requires_spark(self):
         with pytest.raises(ValueError):
@@ -88,18 +110,15 @@ class TestT4:
 
 
 class TestT5:
-    def test_log_not_linear_cost(self):
-        df = t5_throughput.run(quick=True)
+    def test_log_not_linear_cost(self, t5):
         # k grows 16x; per-item cost must NOT grow 16x (log claim).
-        assert df["cost_ratio_vs_first"].iloc[-1] < 4.0
+        t5_throughput.check(t5)
 
-    def test_compactions_shrink_with_k(self):
-        df = t5_throughput.run(quick=True)
-        assert df["compactions"].is_monotonic_decreasing
+    def test_compactions_shrink_with_k(self, t5):
+        assert t5["compactions"].is_monotonic_decreasing
 
 
 class TestT6:
-    def test_all_quantiles_bound(self):
-        df = t6_all_quantiles.run(quick=True)
-        assert (df["head_exact"]).all()
-        assert df["max_rel_all_y"].max() < 0.02
+    def test_all_quantiles_bound(self, t6):
+        t6_all_quantiles.check(t6)
+        assert t6["max_rel_all_y"].max() < 0.02

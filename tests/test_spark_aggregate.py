@@ -51,13 +51,13 @@ class TestPartitionSketches:
 class TestMergeShapes:
     def test_balanced_weight(self, spark, stream):
         _, df = stream
-        sk = agg.build_sketch(df, "x", k=16, seed=5, merge_shape="balanced")
+        sk = agg.build_sketch(df, "x", k=16, seed=5)
         assert sk.total_weight() == N
 
     def test_sequential_weight(self, spark, stream):
         _, df = stream
-        sk = agg.build_sketch(df, "x", k=16, seed=6, merge_shape="sequential")
-        assert sk.total_weight() == N
+        parts = agg.partition_sketches(df, "x", template=ReqSketch(16), seed=6)
+        assert agg.merge_sequential(parts).total_weight() == N
 
     def test_merge_helpers_reject_empty(self):
         with pytest.raises(ValueError):
@@ -91,8 +91,6 @@ class TestMergeShapes:
         _, df = stream
         with pytest.raises(ValueError):
             agg.build_sketch(df, "x", method="bogus")
-        with pytest.raises(ValueError):
-            agg.build_sketch(df, "x", merge_shape="bogus")
 
 
 class TestTreeAggregate:
@@ -122,7 +120,9 @@ class TestTreeAggregate:
         order, as the driver's sequential merge: bit-identical answers."""
         _, df = stream
         tree = agg.build_sketch(df, "x", k=16, seed=14, method="tree_aggregate", depth=1)
-        seq = agg.build_sketch(df, "x", k=16, seed=14, merge_shape="sequential")
+        seq = agg.merge_sequential(
+            agg.partition_sketches(df, "x", template=ReqSketch(16), seed=14)
+        )
         qs = np.linspace(0, N, 41)
         assert np.array_equal(tree.ranks(qs), seq.ranks(qs))
         assert tree.num_retained() == seq.num_retained()
