@@ -2,10 +2,11 @@
 
 Building a ``numpy.random.Generator`` costs tens of microseconds, about
 as much as decoding a small sketch.  A decoded sketch that is only
-merged into another one never flips a coin of its own, so sketches keep
-the *source* of their generator -- an int seed or the four PCG64 fields
-a blob carries -- and build the generator on first use.  The stream is
-the same as that of an eagerly built generator.
+merged into another one never flips a coin of its own, and a Spark group
+sketch that never compacts never does either, so sketches keep the
+*source* of their generator -- an int seed, a ``SeedSequence`` or the
+four PCG64 fields a blob carries -- and build the generator on first
+use.  The stream is the same as that of an eagerly built generator.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ class LazyRng:
     """
 
     _rng: Optional[np.random.Generator] = None
-    _rng_src: Union[int, Pcg64Fields] = 0
+    _rng_src: Union[int, np.random.SeedSequence, Pcg64Fields] = 0
 
     @property
     def rng(self) -> np.random.Generator:

@@ -14,8 +14,9 @@ guarantee (App. C) and the dataflow only chooses where merges run:
   blobs merged on executors by ``RDD.treeReduce`` (decode, merge,
   encode) with ``depth`` combiner levels; only the root reaches the
   driver.  ``depth=1`` is the left fold in partition order.
-* ``repro.spark.udaf`` — one sketch per group inside ``applyInPandas``,
-  answered or emitted in the task that builds it.
+* ``repro.spark.udaf`` — one sketch per group, built in one
+  ``mapInPandas`` pass over key-sorted range partitions and answered or
+  emitted in the task that builds it.
 
 Randomness: a partition's sketch is seeded by SeedSequence([seed,
 partition_id]) so distributed builds are reproducible and partitions are
@@ -42,7 +43,10 @@ def fill_sketch(
 
     An empty sketch with ``template``'s parameters and an RNG seeded by
     ``SeedSequence(entropy)``, updated with the non-null values of each
-    column chunk in turn.
+    column chunk (a pandas Series, or a float64 array with NaN for null)
+    in turn.  The generator is built only when the sketch first compacts
+    or is encoded (``LazyRng``), so a group that never fills level 0
+    never builds one.
     """
     sk = ReqSketch(
         template.k,
@@ -50,10 +54,11 @@ def fill_sketch(
         khat=template._khat,
         k_const=template._k_const,
     )
-    sk.rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    sk._rng_src = np.random.SeedSequence(entropy)
     for chunk in columns:
-        vals = chunk.to_numpy(dtype=np.float64, na_value=np.nan)
-        sk.update(vals[~np.isnan(vals)])
+        if not isinstance(chunk, np.ndarray):
+            chunk = chunk.to_numpy(dtype=np.float64, na_value=np.nan)
+        sk.update(chunk[~np.isnan(chunk)])
     return sk
 
 

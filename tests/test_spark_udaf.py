@@ -1,4 +1,9 @@
-"""Grouped-sketch (applyInPandas UDAF shape) tests, oracle-checked."""
+"""Grouped-sketch (UDAF shape) tests, oracle-checked and compared with
+the per-group ``applyInPandas`` path the key-range pass replaced."""
+import math
+import re
+from contextlib import contextmanager
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -150,6 +155,134 @@ class TestGroupSeeds:
     def test_pinned_entropy(self, key):
         pdf = pd.DataFrame({"x": np.arange(200.0)})
         template = ReqSketch(4)
-        got = udaf._group_sketch(key, pdf, "x", template, seed=5)
+        got = udaf._group_sketch(key, pdf["x"], template, seed=5)
         want = fill_sketch(template, [5] + self.PINNED[key], [pdf["x"]])
         assert serde.to_bytes(got) == serde.to_bytes(want)
+
+
+@contextmanager
+def _conf(spark, settings):
+    """Run the block with Spark SQL ``settings``, then restore them."""
+    before = {key: spark.conf.get(key, None) for key in settings}
+    for key, value in settings.items():
+        spark.conf.set(key, value)
+    try:
+        yield
+    finally:
+        for key, value in before.items():
+            spark.conf.unset(key) if value is None else spark.conf.set(key, value)
+
+
+def _apply_in_pandas(df, keys, col, phis=None, *, k, seed):
+    """The replaced path: ``applyInPandas`` builds each group's sketch in
+    its own Python call, and ``orderBy`` sorts the answers."""
+    template = ReqSketch(k)
+
+    def one(key, pdf):
+        sk = udaf._group_sketch(key, pdf[col], template, seed)
+        if phis is None:
+            return pd.DataFrame([key + (serde.to_bytes(sk), sk.n)], columns=keys + ["sketch", "n"])
+        vals = sk.quantiles(phis) if sk.n else [None] * len(phis)
+        return pd.DataFrame([key + (p, v) for p, v in zip(phis, vals)], columns=keys + ["phi", "value"])
+
+    tail = "sketch binary, n long" if phis is None else "phi double, value double"
+    schema = ", ".join(f"{c} {df.schema[c].dataType.simpleString()}" for c in keys) + ", " + tail
+    out = df.groupBy(*keys).applyInPandas(one, schema)
+    return out if phis is None else out.orderBy(*keys, "phi")
+
+
+def _blob_set(out):
+    return {tuple(bytes(v) if isinstance(v, bytearray) else v for v in r) for r in out.collect()}
+
+
+class TestKeyRangePass:
+    """The one-pass build answers exactly as the per-group path did."""
+
+    PHIS = [0.0, 0.01, 0.5, 0.99, 1.0]
+
+    @pytest.fixture(scope="class")
+    def mixed(self, spark):
+        """String and int key parts with nulls, one group whose values are
+        all null, and groups past B = 64 (k=8) that compact."""
+        rng = np.random.default_rng(7)
+        g = rng.choice(["a", "bb", None], 2_000)
+        h = [None if rng.random() < 0.1 else int(v) for v in rng.integers(1, 4, g.size)]
+        rows = list(zip(g, h, rng.lognormal(size=g.size).tolist())) + [("zz", 9, None)] * 5
+        df = spark.createDataFrame(rows, "g string, h long, x double").cache()
+        df.count()
+        yield df
+        df.unpersist()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {},
+            # more shuffle partitions than the 13 keys, none coalesced
+            {"spark.sql.shuffle.partitions": "64", "spark.sql.adaptive.enabled": "false"},
+            # groups straddle Arrow batches
+            {"spark.sql.execution.arrow.maxRecordsPerBatch": "7"},
+        ],
+        ids=["default", "sparse-partitions", "batches-of-7"],
+    )
+    def test_matches_apply_in_pandas(self, spark, mixed, settings):
+        keys = ["g", "h"]
+        with _conf(spark, settings):
+            got = [tuple(r) for r in udaf.group_quantiles(mixed, keys, "x", self.PHIS, k=8, seed=2).collect()]
+            want = [tuple(r) for r in _apply_in_pandas(mixed, keys, "x", self.PHIS, k=8, seed=2).collect()]
+            assert got == want
+            assert ("zz", 9, 0.5, None) in got
+            sketches = _blob_set(udaf.group_sketches(mixed, keys, "x", k=8, seed=2))
+            assert sketches == _blob_set(_apply_in_pandas(mixed, keys, "x", k=8, seed=2))
+        assert len(sketches) == 13
+        assert max(serde.from_bytes(r[2]).num_levels for r in sketches) > 1
+
+    def test_unsorted_fractions_answer_in_phi_order(self, spark, mixed):
+        got = udaf.group_quantiles(mixed, ["g"], "x", [0.9, 0.1, 0.5], k=8).collect()
+        assert [r["phi"] for r in got[:3]] == [0.1, 0.5, 0.9]
+
+    def test_int_key_beside_a_null_key_keeps_its_seed(self, spark):
+        """pandas reads an int column holding a null as float64; the group
+        key must still be ``2`` (as ``applyInPandas`` sees it), not ``2.0``,
+        and longs past 2**53 must stay apart.  The group's values are all
+        equal, so its blob depends on the seed and not on the row order."""
+        vals = np.full(300, 1.5)
+        big = 2 ** 60
+        rows = [(2, 1.5)] * vals.size + [(None, 1.0), (big, 2.0), (big + 1, 3.0)]
+        df = spark.createDataFrame(rows, "g long, x double")
+        with _conf(spark, {"spark.sql.shuffle.partitions": "1"}):
+            got = {r["g"]: bytes(r["sketch"]) for r in udaf.group_sketches(df, ["g"], "x", k=8, seed=3).collect()}
+        assert set(got) == {None, 2, big, big + 1}
+        want = udaf._group_sketch((2,), vals, ReqSketch(8), seed=3)
+        assert want.num_levels > 1
+        assert got[2] == serde.to_bytes(want)
+        assert got[2] != serde.to_bytes(udaf._group_sketch((2.0,), vals, ReqSketch(8), seed=3))
+
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    @pytest.mark.parametrize("batch", ["10000", "3"])
+    def test_float_keys_group_as_group_by(self, spark, dtype, batch):
+        """-0.0 joins 0.0 and every NaN is one group, as in ``groupBy``;
+        a NaN key stays NaN and a null key stays null."""
+        keys = [-0.0, 0.0, float("nan"), None, 1.5, 0.0, -0.0]
+        df = spark.createDataFrame([(g, float(i)) for i, g in enumerate(keys * 9)], f"g {dtype}, x double")
+
+        def canon(v):
+            return "null" if v is None else "nan" if math.isnan(v) else repr(v)
+
+        want = sorted((canon(r["g"]), r["count"]) for r in df.groupBy("g").count().collect())
+        with _conf(spark, {"spark.sql.execution.arrow.maxRecordsPerBatch": batch}):
+            sketches = udaf.group_sketches(df, ["g"], "x").collect()
+            answers = udaf.group_quantiles(df, ["g"], "x", [0.5]).collect()
+        assert sorted((canon(r["g"]), r["n"]) for r in sketches) == want
+        assert [canon(r["g"]) for r in answers] == ["null", "0.0", "1.5", "nan"]
+
+    def test_plan_runs_python_once(self, spark, li):
+        """One ``mapInPandas`` and no global sort: a range-partition
+        sampling job over the answers would run every group's Python again."""
+        for out in (
+            udaf.group_quantiles(li, ["l_returnflag", "l_linestatus"], "l_quantity", [0.5, 0.1]),
+            udaf.group_sketches(li, ["l_returnflag"], "l_quantity"),
+        ):
+            plan = out._jdf.queryExecution().executedPlan().toString()
+            assert len(re.findall(r"\bMapInPandas\b", plan)) == 1, plan
+            assert "FlatMapGroupsInPandas" not in plan
+            assert not re.search(r"Sort \[[^\]]*\bphi\b", plan), plan
