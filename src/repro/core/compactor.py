@@ -1,13 +1,15 @@
 """The relative-compactor buffer (paper Algorithm 1 + Algorithm 4 pieces).
 
 A relative-compactor holds up to B = 2 * k * num_sections items.  When
-full, it sorts its contents and compacts only the *largest* L items,
-where L = (z(C)+1) * k is chosen by the trailing-ones schedule — the
-lowest-ranked half of the buffer is never compacted, which is what makes
-the overall sketch's error *relative* instead of additive.  The
-compaction outputs every other item of the compacted range (even or odd
-indices with equal probability); the output is fed to the next level,
-where each item counts with twice the weight.
+full, it compacts only its *largest* L items, where L = (z(C)+1) * k is
+chosen by the trailing-ones schedule — the lowest-ranked half of the
+buffer is never compacted, which is what makes the overall sketch's
+error *relative* instead of additive.  A selection (``np.partition``)
+splits the buffer at the compacted range's first slot, and only that
+range is sorted; the kept items stay unsorted.  The compaction outputs
+every other item of the sorted range (even or odd indices with equal
+probability); the output is fed to the next level, where each item
+counts with twice the weight.
 
 This class is also used by the merge procedure (paper Algorithm 4):
 
@@ -34,13 +36,16 @@ class RelativeCompactor:
     """One level's buffer with its compaction-schedule state.
 
     Buffers are kept *unsorted* between compactions (appends are O(1)
-    amortized); sorting happens once per compaction. Queries read the
-    unsorted items through the sketch's sorted view.
+    amortized).  A compaction selects the compacted range and sorts only
+    that range, O(B + L log L) instead of a full O(B log B) sort.
+    Queries read the unsorted items through the sketch's sorted view,
+    and the wire format sorts each level on encode (``serde``).
 
     Invariant: no code writes into a buffered array in place.
-    ``compact`` sorts into a new array and ``values`` concatenates into
-    one, so a merge may append another sketch's level arrays without
-    copying them, and both sketches stay independent.
+    ``compact`` partitions into a new array (``np.partition`` returns a
+    copy) and ``values`` concatenates into one, so a merge may append
+    another sketch's level arrays without copying them, and both
+    sketches stay independent.
     """
 
     __slots__ = ("params", "state", "schedule", "_chunks", "_count")
@@ -96,9 +101,16 @@ class RelativeCompactor:
             self._chunks = [merged]
         return self._chunks[0]
 
-    def sorted_values(self) -> np.ndarray:
-        """All buffered items in non-descending order (copy)."""
-        return np.sort(self.values())
+    def sorted_values(self, start: int = 0) -> np.ndarray:
+        """All buffered items (copy), non-descending from slot ``start``
+        on; the first ``start`` slots hold the smallest items, in any
+        order.  With ``start=0`` the whole copy is sorted."""
+        v = self.values()
+        if not 0 < start < v.size:
+            return np.sort(v)
+        arr = np.partition(v, start)
+        arr[start:].sort()
+        return arr
 
     # ------------------------------------------------------------------ compaction
 
@@ -137,7 +149,7 @@ class RelativeCompactor:
         # start >= B/2 always: n_sec <= num_sections and B = 2*k*num_sections.
         assert start >= p.B // 2, (start, p.B)
 
-        arr = self.sorted_values()
+        arr = self.sorted_values(start)
         kept, tail = arr[:start], arr[start:]
         offset = int(rng.integers(0, 2))
         promoted = tail[offset::2].copy()

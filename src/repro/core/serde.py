@@ -10,10 +10,10 @@ half first)::
 
     offset  type     field
     0       4s       magic b"RQSK"
-    4       u8       version, 2
+    4       u8       version, 3
     5       u8       schedule: 0 = "req", 1 = "all"
     6       u32      k
-    10      f8       k-hat, NaN for a fixed-k sketch
+    10      f8       k-hat, NaN (0x7ff8000000000000) for a fixed-k sketch
     18      u32      k_const
     22      u128     N
     38      u64      n
@@ -24,18 +24,24 @@ half first)::
     90      u8       PCG64 has_uint32
     91      u32      PCG64 uinteger
     95      L x 12   per level: schedule state (u64), item count (u32)
-    95+12L  f8       every level's items, level 0 first
+    95+12L  f8       every level's items, level 0 first, each level
+                     in non-descending order
 
-Version 1, a retired format, has no reader.  ``from_bytes``
+Each level's items are written sorted, whatever their order in memory
+(compaction leaves a level's kept items unsorted), so one sketch state
+has one encoding, unique up to the order of tied -0.0 and 0.0 items.
+The sort is stable, so a decoded sketch re-encodes byte for byte.
+Versions 1 and 2, retired formats, have no reader.  ``from_bytes``
 checks the whole blob before it builds a sketch and raises
-``ValueError`` on any malformed input.  A decoded sketch's level arrays
-are read-only views of the blob (``RelativeCompactor`` never writes
-into a level array in place).
+``ValueError`` on any malformed input, a level out of order included.
+A decoded sketch's level arrays are read-only views of the blob
+(``RelativeCompactor`` never writes into a level array in place).
 """
 from __future__ import annotations
 
 import math
 import struct
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -44,12 +50,13 @@ from repro.core import params as P
 from repro.core.req_sketch import ReqSketch
 
 _MAGIC = b"RQSK"
-_VERSION = 2
+_VERSION = 3
 _SCHEDULES = ("req", "all")
 _HEAD = struct.Struct("<4sBBIdIQQQQIQQQQBI")
 _LEVEL = struct.Struct("<QI")
 _ITEM = np.dtype("<f8")
 _U64 = (1 << 64) - 1
+_NAN = struct.pack("<d", math.nan)
 
 
 def to_bytes(sketch: ReqSketch) -> bytes:
@@ -60,7 +67,7 @@ def to_bytes(sketch: ReqSketch) -> bytes:
     if N >> 128:
         raise ValueError(f"N = {N} does not fit the format's 128 bits")
     state, inc, has_uint32, uinteger = sketch._rng_state()
-    items = [lv.values() for lv in sketch.levels]
+    items = [np.sort(lv.values(), kind="stable") for lv in sketch.levels]
     head = _HEAD.pack(
         _MAGIC, _VERSION, _SCHEDULES.index(sketch.schedule), sketch.k,
         math.nan if sketch._khat is None else sketch._khat, sketch._k_const,
@@ -100,11 +107,18 @@ def from_bytes(blob: Union[bytes, bytearray]) -> ReqSketch:
     if N < 2 or n > N:
         raise ValueError(f"need 2 <= N and n <= N, got N = {N}, n = {n}")
     if math.isnan(khat):
+        if blob[10:18] != _NAN:
+            raise ValueError("k-hat of a fixed-k sketch must be the canonical NaN")
         khat = None
     elif not (math.isfinite(khat) and khat > 0):
         raise ValueError(f"k-hat must be finite and positive, got {khat}")
-    elif k != P.k_of_N(khat, N, const=k_const):
-        raise ValueError(f"k = {k} is not k(N) = {P.k_of_N(khat, N, const=k_const)}")
+    else:
+        try:
+            k_N = P.k_of_N(khat, N, const=k_const)
+        except OverflowError:  # k-hat * k_const beyond a float
+            k_N = None
+        if k != k_N:
+            raise ValueError(f"k = {k} is not k(N) = {k_N}")
     B = P.buffer_size(k, P.num_sections_mergeable(N, k))
     if not 0 < min_B <= B:
         raise ValueError(f"need 0 < min_B <= B = {B}, got {min_B}")
@@ -119,8 +133,16 @@ def from_bytes(blob: Union[bytes, bytearray]) -> ReqSketch:
     if sum(count << h for h, (_, count) in enumerate(levels)) != n:
         raise ValueError(f"level weights do not sum to n = {n}")
     items = np.frombuffer(blob, _ITEM, total, table_end)
-    if np.isnan(items).any():
+    # count_nonzero, not any(): these run once per blob, and a rollup
+    # decodes thousands of small blobs.
+    if np.count_nonzero(np.isnan(items)):
         raise ValueError("NaN item in sketch blob")
+    # A descent is allowed only where a level starts.
+    descents = items[1:] < items[:-1]
+    if np.count_nonzero(descents) and not set(accumulate(c for _, c in levels)).issuperset(
+        (np.flatnonzero(descents) + 1).tolist()
+    ):
+        raise ValueError("a level's items are not in non-descending order")
     sk = ReqSketch(k, schedule=_SCHEDULES[sched], khat=khat, k_const=k_const, N0=N)
     sk.n, sk._min_B = n, min_B
     sk.levels, pos = [], 0

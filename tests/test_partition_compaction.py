@@ -1,0 +1,169 @@
+"""Partition compaction against the full sort it replaced.
+
+``RelativeCompactor.compact`` selects the compacted range with
+``np.partition`` and sorts only that range.  ``_full_sort_compact`` below
+is the compaction as it was before: sort the whole buffer, then split
+it.  Every scenario runs twice, once per compaction, and everything the
+sketch means must agree: the promoted arrays in order, each level's
+sorted items and schedule state, the generator state, the ranks and the
+(canonical) bytes.  Only the in-memory order of a level's kept items may
+differ.
+"""
+import numpy as np
+import pytest
+
+from repro.core import serde
+from repro.core.compactor import RelativeCompactor
+from repro.core.req_sketch import ReqSketch
+from repro.core.schedule import sections_to_compact
+from repro.spark.aggregate import merge_balanced, merge_sequential
+from repro.synth_data import stream_array
+
+
+def _full_sort_compact(self, rng, *, special=False):
+    """Reference: the whole buffer sorted, then split at ``start``."""
+    p = self.params
+    if special:
+        if not self.special_moves():
+            return np.empty(0, dtype=np.float64)
+        start = p.B // 2
+    else:
+        if self._count < p.B:
+            raise RuntimeError("scheduled compaction on non-full buffer")
+        if self.schedule == "all":
+            n_sec = p.num_sections
+        else:
+            n_sec = sections_to_compact(self.state, p.num_sections)
+        start = p.B - n_sec * p.k
+    if (self._count - start) % 2 == 1:
+        start += 1
+    arr = np.sort(self.values())
+    kept, tail = arr[:start], arr[start:]
+    offset = int(rng.integers(0, 2))
+    promoted = tail[offset::2].copy()
+    self._chunks = [kept]
+    self._count = kept.size
+    self.state += 1
+    return promoted
+
+
+def _run(monkeypatch, scenario, compact):
+    """Run ``scenario`` with ``compact`` installed; return the sketch and
+    every compaction's (special, promoted items) in order."""
+    log = []
+
+    def recording(self, rng, *, special=False):
+        out = compact(self, rng, special=special)
+        log.append((special, out.copy()))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(RelativeCompactor, "compact", recording)
+        sk = scenario()
+    return sk, log
+
+
+def _assert_same(monkeypatch, scenario):
+    ref, ref_log = _run(monkeypatch, scenario, _full_sort_compact)
+    got, got_log = _run(monkeypatch, scenario, RelativeCompactor.compact)
+    assert len(got_log) == len(ref_log) > 0
+    for (g_special, g), (r_special, r) in zip(got_log, ref_log):
+        assert g_special == r_special
+        assert np.array_equal(g, r)
+    assert got.num_levels == ref.num_levels
+    for g, r in zip(got.levels, ref.levels):
+        assert g.state == r.state
+        assert np.array_equal(np.sort(g.values()), np.sort(r.values()))
+    assert got._rng_state() == ref._rng_state()
+    assert (got.n, got.N, got.k, got._min_B) == (ref.n, ref.N, ref.k, ref._min_B)
+    ys = np.unique(np.concatenate([lv.values() for lv in ref.levels]))
+    assert np.array_equal(got.ranks(ys), ref.ranks(ys))
+    assert serde.to_bytes(got) == serde.to_bytes(ref)
+    return got_log
+
+
+def _data(n, seed):
+    """Lognormal items with heavy ties: half of them are rounded."""
+    x = stream_array("lognormal", n, seed=seed)
+    x[::2] = np.floor(x[::2])
+    return x
+
+
+# name -> sketch factory(seed, schedule)
+CONFIGS = {
+    "k4": lambda seed, schedule: ReqSketch(4, seed=seed, schedule=schedule),
+    "k8": lambda seed, schedule: ReqSketch(8, seed=seed, schedule=schedule),
+    "k64": lambda seed, schedule: ReqSketch(64, seed=seed, schedule=schedule),
+    "adaptive": lambda seed, schedule: ReqSketch.from_error_mergeable(
+        0.1, 0.1, seed=seed, k_const=2, schedule=schedule
+    ),
+}
+SCHEDULES = ["req", "all"]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("config", CONFIGS)
+class TestSameAsFullSort:
+    def test_whole_array_update(self, monkeypatch, config, schedule):
+        make = CONFIGS[config]
+        _assert_same(monkeypatch, lambda: make(1, schedule).update(_data(60_000, 1)))
+
+    def test_per_item_update(self, monkeypatch, config, schedule):
+        make = CONFIGS[config]
+
+        def scenario():
+            sk = make(2, schedule)
+            for y in _data(4_000, 2):
+                sk.update(y)
+            return sk
+
+        _assert_same(monkeypatch, scenario)
+
+    def test_batched_update(self, monkeypatch, config, schedule):
+        make = CONFIGS[config]
+
+        def scenario():
+            sk = make(3, schedule)
+            for batch in np.array_split(_data(30_000, 3), 37):
+                sk.update(batch)
+            return sk
+
+        _assert_same(monkeypatch, scenario)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(5_000, 5_000), (100_000, 1_000), (1_000, 100_000), (0, 3_000), (40_000, 40)],
+        ids=["same_epoch", "lower_epoch_source", "higher_epoch_source", "empty_target", "tiny"],
+    )
+    def test_merge_across_epochs(self, monkeypatch, config, schedule, sizes):
+        make = CONFIGS[config]
+
+        def scenario():
+            a, b = (make(10 + i, schedule).update(_data(n, 10 + i)) for i, n in enumerate(sizes))
+            return a.merge(b)
+
+        log = _assert_same(monkeypatch, scenario)
+        if sizes[1] < sizes[0] >= 100_000:
+            assert any(special for special, _ in log)
+
+    def test_merge_trees_of_decoded_partials(self, monkeypatch, config, schedule):
+        make = CONFIGS[config]
+
+        def partials():
+            sizes = [200, 30_000, 7, 2_000, 90_000, 500]
+            return [
+                serde.from_bytes(serde.to_bytes(make(20 + i, schedule).update(_data(n, 20 + i))))
+                for i, n in enumerate(sizes)
+            ]
+
+        _assert_same(monkeypatch, lambda: merge_balanced(partials()))
+        _assert_same(monkeypatch, lambda: merge_sequential(partials()[::-1]))
+
+    def test_self_merge(self, monkeypatch, config, schedule):
+        make = CONFIGS[config]
+
+        def scenario():
+            sk = make(30, schedule).update(_data(20_000, 30))
+            return sk.merge(sk)
+
+        _assert_same(monkeypatch, scenario)

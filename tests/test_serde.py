@@ -1,4 +1,5 @@
 """Wire-format tests for sketches shipped through Spark."""
+import functools
 import math
 import pickle
 import struct
@@ -6,6 +7,8 @@ import struct
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.kll import KllSketch
 from repro.core import serde
@@ -176,55 +179,55 @@ def _items(n):
 GOLDEN = {
     "fixed_k": (
         lambda: ReqSketch(4, seed=7).update(_items(60)),
-        "5251534b020004000000000000000000f87f200000000004000000000000000000000000"
+        "5251534b030004000000000000000000f87f200000000004000000000000000000000000"
         "00003c0000000000000020000000000000000200000071581c9c5b4d26e10d328c9db3ef"
         "749859d970c05a7f8866bfce8ace961875c400a94106a002000000000000002800000000"
-        "000000000000000a00000000000000000000000000000000000840000000000000184000"
-        "0000000000224000000000000024400000000000002a4000000000000030400000000000"
-        "00344000000000000037400000000000003a400000000000003e40000000000080404000"
-        "000000000042400000000000804240000000000000444000000000008045400000000000"
-        "0033400000000000004c4000000000004057400000000000003d40000000000080504000"
-        "000000000000400000000000804340000000000000534000000000000028400000000000"
-        "804840000000000080554000000000000036400000000000804d40000000000000584000"
-        "000000000040400000000000405140000000000000144000000000000045400000000000"
-        "c053400000000000002e400000000000004a400000000000405640000000000000394000"
-        "00000000004f400000000000805740000000000000594000000000008047400000000000"
-        "804a400000000000004e400000000000c050400000000000405240000000000040534000"
-        "00000000c054400000000000c05540",
+        "000000000000000a00000000000000000000000000000000000040000000000000084000"
+        "000000000014400000000000001840000000000000224000000000000024400000000000"
+        "0028400000000000002a400000000000002e400000000000003040000000000000334000"
+        "000000000034400000000000003640000000000000374000000000000039400000000000"
+        "003a400000000000003d400000000000003e400000000000004040000000000080404000"
+        "000000000042400000000000804240000000000080434000000000000044400000000000"
+        "004540000000000080454000000000008048400000000000004a400000000000004c4000"
+        "00000000804d400000000000004f40000000000080504000000000004051400000000000"
+        "0053400000000000c0534000000000008055400000000000405640000000000040574000"
+        "0000000000584000000000008047400000000000804a400000000000004e400000000000"
+        "c05040000000000040524000000000004053400000000000c054400000000000c0554000"
+        "000000008057400000000000005940",
         (60, 1024, 4, "req", [2, 0], [40, 10], [7, 30, 54]),
     ),
     "adaptive_grown": (
         lambda: ReqSketch.from_error_mergeable(0.5, 0.5, seed=8, k_const=2).update(_items(40)),
-        "5251534b02000200000047cd619149a4fa3f020000000001000000000000000000000000"
+        "5251534b03000200000047cd619149a4fa3f020000000001000000000000000000000000"
         "000028000000000000001000000000000000020000003410f809e63199b50b567b22ae76"
         "a2f02d188c1feb8d7b300fbbfb9c2f86be2d008274b45302000000000000001e00000000"
-        "000000000000000500000000000000000000000000000000000840000000000000244000"
-        "00000000002a40000000000000344000000000000037400000000000003e400000000000"
-        "8042400000000000004e4000000000004058400000000000804040000000000080514000"
-        "000000000018400000000000804540000000000000544000000000000030400000000000"
-        "804a4000000000008056400000000000003a400000000000804f40000000000000594000"
-        "000000000042400000000000405240000000000000224000000000000047400000000000"
-        "c0544000000000000033400000000000004c4000000000004057400000000000003d4000"
-        "00000000805740000000000000444000000000000049400000000000c050400000000000"
-        "405340",
+        "000000000000000500000000000000000000000000000000000840000000000000184000"
+        "0000000000224000000000000024400000000000002a4000000000000030400000000000"
+        "003340000000000000344000000000000037400000000000003a400000000000003d4000"
+        "00000000003e400000000000804040000000000000424000000000008042400000000000"
+        "80454000000000000047400000000000804a400000000000004c400000000000004e4000"
+        "00000000804f400000000000805140000000000040524000000000000054400000000000"
+        "c05440000000000080564000000000004057400000000000405840000000000000594000"
+        "0000000000444000000000000049400000000000c0504000000000004053400000000000"
+        "805740",
         (40, 256, 2, "req", [2, 0], [30, 5], [5, 22, 35]),
     ),
     "schedule_all": (
         lambda: ReqSketch(4, seed=9, schedule="all").update(_items(60)),
-        "5251534b020104000000000000000000f87f200000000004000000000000000000000000"
+        "5251534b030104000000000000000000f87f200000000004000000000000000000000000"
         "00003c00000000000000200000000000000002000000a62e48cb7cef3de46ef0694c9684"
         "e342dbd9488780f9eb0e5843db36872cd92300dea6c8de02000000000000001c00000000"
         "000000000000001000000000000000000000000000000000000040000000000000084000"
-        "000000000018400000000000002240000000000000244000000000000028400000000000"
-        "002a40000000000000304000000000000033400000000000003440000000000000364000"
-        "000000000037400000000000003a400000000000003d400000000000003e400000000000"
-        "804d40000000000000584000000000000040400000000000405140000000000000144000"
-        "000000000045400000000000c053400000000000002e400000000000004a400000000000"
-        "40564000000000000039400000000000004f4000000000000049400000000000804c4000"
-        "00000000804f400000000000805140000000000040534000000000000055400000000000"
-        "805640000000000040584000000000000042400000000000804340000000000080454000"
-        "000000008047400000000000004c4000000000004052400000000000c054400000000000"
-        "405740",
+        "000000000014400000000000001840000000000000224000000000000024400000000000"
+        "0028400000000000002a400000000000002e400000000000003040000000000000334000"
+        "000000000034400000000000003640000000000000374000000000000039400000000000"
+        "003a400000000000003d400000000000003e400000000000004040000000000000454000"
+        "00000000004a400000000000804d400000000000004f4000000000004051400000000000"
+        "c05340000000000040564000000000000058400000000000004240000000000080434000"
+        "00000000804540000000000080474000000000000049400000000000004c400000000000"
+        "804c400000000000804f4000000000008051400000000000405240000000000040534000"
+        "00000000c054400000000000005540000000000080564000000000004057400000000000"
+        "405840",
         (60, 1024, 4, "all", [2, 0], [28, 16], [7, 31, 55]),
     ),
 }
@@ -274,7 +277,10 @@ CORRUPTIONS = {
     "zero_k": ("fixed_k", lambda sk: (6, "<I", 0), "even"),
     "khat_inf": ("adaptive_grown", lambda sk: (10, "<d", math.inf), "finite"),
     "khat_zero": ("adaptive_grown", lambda sk: (10, "<d", 0.0), "finite"),
+    "khat_other_nan": ("fixed_k", lambda sk: (10, "<Q", 0x7FF8000000000001), "canonical NaN"),
+    "khat_negative_nan": ("fixed_k", lambda sk: (10, "<Q", 0xFFF8000000000000), "canonical NaN"),
     "k_not_k_of_N": ("adaptive_grown", lambda sk: (6, "<I", sk.k + 2), r"k\(N\)"),
+    "khat_overflows_k_of_N": ("adaptive_grown", lambda sk: (10, "<d", 1e308), r"k\(N\)"),
     "N_below_2": ("fixed_k", lambda sk: (22, "<Q", 1), "2 <= N"),
     "n_above_N": ("fixed_k", lambda sk: (38, "<Q", sk.N + 1), "n <= N"),
     "min_B_zero": ("fixed_k", lambda sk: (46, "<Q", 0), "min_B"),
@@ -323,6 +329,34 @@ class TestMalformed:
         with pytest.raises(ValueError, match="more than B"):
             serde.from_bytes(serde.to_bytes(sk))
 
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_descent_inside_a_level_rejected(self, level):
+        sk, blob = _golden("fixed_k")
+        at = _first_item(sk) + 8 * sum(len(lv) for lv in sk.levels[:level])
+        lo, hi = struct.unpack_from("<2d", blob, at)
+        assert lo < hi
+        out = bytearray(blob)
+        struct.pack_into("<2d", out, at, hi, lo)
+        with pytest.raises(ValueError, match="non-descending"):
+            serde.from_bytes(bytes(out))
+
+    def test_descent_across_a_level_boundary_accepted(self):
+        sk, blob = _golden("fixed_k")
+        at = _first_item(sk) + 8 * len(sk.levels[0])
+        last_of_0, first_of_1 = struct.unpack_from("<2d", blob, at - 8)
+        assert first_of_1 < last_of_0
+        assert serde.to_bytes(serde.from_bytes(blob)) == blob
+
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)], ids=["neg_first", "pos_first"])
+    def test_signed_zero_tie_accepted_either_order(self, zeros):
+        # Long enough that an unstable sort on encode would reorder the tie.
+        zeros = zeros * 40
+        sk = ReqSketch(32).update([-1.0, *zeros, 1.0])
+        blob = serde.to_bytes(sk)
+        items = np.frombuffer(blob, "<f8", len(zeros) + 2, _first_item(sk))
+        assert np.signbit(items).tolist() == [True, *np.signbit(zeros).tolist(), False]
+        assert serde.to_bytes(serde.from_bytes(blob)) == blob
+
     def test_no_levels_rejected(self):
         blob = serde.to_bytes(ReqSketch(4))
         with pytest.raises(ValueError, match="at least one level"):
@@ -356,6 +390,13 @@ class TestMalformed:
 
 
 class TestEncoder:
+    def test_levels_written_sorted_whatever_their_order_in_memory(self):
+        items = _items(60)
+        a, b = ReqSketch(4, seed=7).update(items), ReqSketch(4, seed=7).update(items)
+        b.levels = [b._new_level(lv.state, lv.values()[::-1]) for lv in b.levels]
+        assert any(np.any(np.diff(lv.values()) < 0) for lv in b.levels)
+        assert serde.to_bytes(a) == serde.to_bytes(b) == _golden("fixed_k")[1]
+
     def test_only_req_sketches(self):
         with pytest.raises(TypeError):
             serde.to_bytes(KllSketch(k=50).update([1.0, 2.0]))
@@ -379,3 +420,30 @@ class TestEncoder:
     def test_decoded_levels_are_read_only(self):
         sk = serde.from_bytes(_golden("fixed_k")[1])
         assert not any(lv.values().flags.writeable for lv in sk.levels)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_blob(name):
+    return _golden(name)[1] if name in GOLDEN else BLOBS[name]()
+
+
+class TestDecoderFuzz:
+    """Bytes from an untrusted column: a valid blob with bytes flipped, or
+    cut short, either raises ``ValueError`` or decodes to a sketch whose
+    encoding is those very bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from([*GOLDEN, *BLOBS]), data=st.data())
+    def test_flipped_or_truncated_blob(self, name, data):
+        blob = bytearray(_fuzz_blob(name))
+        table_end = 95 + 12 * struct.unpack_from("<I", blob, 54)[0]
+        offsets = st.one_of(st.integers(0, table_end - 1), st.integers(0, len(blob) - 1))
+        for at, mask in data.draw(st.lists(st.tuples(offsets, st.integers(1, 255)), max_size=3)):
+            blob[at] ^= mask
+        end = data.draw(st.one_of(st.none(), st.integers(0, len(blob) - 1)))
+        blob = bytes(blob[:end])
+        try:
+            sk = serde.from_bytes(blob)
+        except ValueError:
+            return
+        assert serde.to_bytes(sk) == blob
