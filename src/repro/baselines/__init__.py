@@ -2,7 +2,7 @@
 from repro.baselines.exact import ExactRanks, relative_errors
 from repro.baselines.kll import KllSketch
 from repro.baselines.naive_protect import naive_for_error, naive_protect_sketch
-from repro.baselines.sampling import BernoulliSampler, ReservoirSampler
+from repro.baselines.sampling import BernoulliSampler
 
 __all__ = [
     "ExactRanks",
@@ -11,5 +11,4 @@ __all__ = [
     "naive_for_error",
     "naive_protect_sketch",
     "BernoulliSampler",
-    "ReservoirSampler",
 ]

@@ -5,13 +5,9 @@ sample; the sampling error is +-eps*n additive.  For *relative* error
 this fails: at rank r the sampling noise is ~ sqrt(r/p)/r = 1/sqrt(p*r)
 relative, unbounded as r -> 0.  Table T3 measures exactly that blow-up.
 
-Two flavours:
-* ``BernoulliSampler(p)``  — keep each item independently w.p. p;
-  rank estimate R-hat(y) = |{sampled x <= y}| / p.
-* ``ReservoirSampler(m)``  — uniform m-subset without replacement;
-  R-hat(y) = |{sampled x <= y}| * n / m.
-Both are mergeable enough for our experiments (Bernoulli trivially;
-reservoir via weighted subsampling of the union).
+``BernoulliSampler(p)`` keeps each item independently w.p. p and
+estimates R-hat(y) = |{sampled x <= y}| / p; two samples at the same
+rate merge by concatenation.
 """
 from __future__ import annotations
 
@@ -60,65 +56,6 @@ class BernoulliSampler:
         s = np.sort(self.sample())
         qs = np.asarray(ys, dtype=np.float64).ravel()
         return np.round(np.searchsorted(s, qs, side="right") / self.p).astype(np.int64)
-
-    def rank(self, y: float) -> int:
-        return int(self.ranks([y])[0])
-
-
-class ReservoirSampler:
-    """Uniform fixed-size sample without replacement (Vitter's Algorithm R)."""
-
-    def __init__(self, m: int, *, seed: int = 0) -> None:
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        self.m = int(m)
-        self.n = 0
-        self._res = np.empty(0, dtype=np.float64)
-        self.rng = np.random.default_rng(seed)
-
-    def update(self, values: Iterable[float] | np.ndarray) -> "ReservoirSampler":
-        arr = np.asarray(values, dtype=np.float64).ravel()
-        for x in arr:  # Algorithm R; fine for test/bench sizes
-            self.n += 1
-            if self._res.size < self.m:
-                self._res = np.append(self._res, x)
-            else:
-                j = int(self.rng.integers(0, self.n))
-                if j < self.m:
-                    self._res[j] = x
-        return self
-
-    def merge(self, other: "ReservoirSampler") -> "ReservoirSampler":
-        """Weighted subsample of the union — preserves uniformity."""
-        if self.m != other.m:
-            raise ValueError(f"size mismatch: {self.m} != {other.m}")
-        total = self.n + other.n
-        if total == 0:
-            return self
-        pool = np.concatenate([self._res, other._res])
-        weights = np.concatenate(
-            [
-                np.full(self._res.size, self.n / max(1, self._res.size)),
-                np.full(other._res.size, other.n / max(1, other._res.size)),
-            ]
-        )
-        take = min(self.m, pool.size)
-        probs = weights / weights.sum()
-        idx = self.rng.choice(pool.size, size=take, replace=False, p=probs)
-        self._res = pool[idx]
-        self.n = total
-        return self
-
-    def num_retained(self) -> int:
-        return self._res.size
-
-    def ranks(self, ys: Sequence[float]) -> np.ndarray:
-        if self._res.size == 0:
-            return np.zeros(len(np.atleast_1d(ys)), dtype=np.int64)
-        s = np.sort(self._res)
-        qs = np.asarray(ys, dtype=np.float64).ravel()
-        scale = self.n / self._res.size
-        return np.round(np.searchsorted(s, qs, side="right") * scale).astype(np.int64)
 
     def rank(self, y: float) -> int:
         return int(self.ranks([y])[0])

@@ -28,7 +28,7 @@ protect-half strawman (always compact the whole top half) with the
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,13 +45,19 @@ class ReqSketch(LazyRng, estimator.Queries):
         self,
         k: int = 32,
         *,
-        seed: int = 0,
+        seed: Union[int, np.random.SeedSequence] = 0,
         schedule: str = "req",
         khat: Optional[float] = None,
         k_const: int = 2 ** 5,
         N0: Optional[int] = None,
-        _rng: Optional[np.random.Generator] = None,
     ) -> None:
+        """An empty sketch with fixed section size ``k``, or adaptive k(N)
+        from ``khat`` and ``k_const`` (Eq. (15)) when ``khat`` is given.
+
+        ``seed`` (an int or a ``numpy.random.SeedSequence``) seeds the
+        coin-flip generator, built on first use; assign ``rng`` to install
+        a ready one.  ``N0`` overrides the initial bound on n.
+        """
         self._khat = khat
         self._k_const = k_const
         self.schedule = schedule
@@ -68,7 +74,7 @@ class ReqSketch(LazyRng, estimator.Queries):
         # operand): ranks <= _min_B/2 are deterministically exact.
         self._min_B = self.params.B
         # The generator is built on first draw (``LazyRng``).
-        self._rng, self._rng_src = _rng, seed
+        self._rng_src = seed
 
     # ------------------------------------------------------------ constructors
 
@@ -252,6 +258,8 @@ class ReqSketch(LazyRng, estimator.Queries):
                 raise ValueError(f"section size mismatch: {self.k} != {other.k}")
         elif not math.isclose(self._khat, other._khat):
             raise ValueError(f"k-hat mismatch: {self._khat} != {other._khat}")
+        elif self._k_const != other._k_const:
+            raise ValueError(f"k_const mismatch: {self._k_const} != {other._k_const}")
 
     def _compact_cascade(self) -> None:
         """Bottom-up pass: compact every at-capacity level once."""

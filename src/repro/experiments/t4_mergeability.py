@@ -80,11 +80,11 @@ def run(spark, *, quick: bool = False, sf: float | None = None) -> pd.DataFrame:
     part_list = [4, 16] if quick else [4, 16, 64]
     for parts in part_list:
         d = df.repartition(parts)
-        partials = partition_sketches(d, "l_extendedprice", template=ReqSketch(K), seed=21)
+        partials = partition_sketches(d, "l_extendedprice", k=K, seed=21)
         rows.append(
             _error_row("map_partitions/balanced", merge_balanced(partials), truth, ys, parts)
         )
-        partials = partition_sketches(d, "l_extendedprice", template=ReqSketch(K), seed=22)
+        partials = partition_sketches(d, "l_extendedprice", k=K, seed=22)
         rows.append(
             _error_row("map_partitions/chain", merge_sequential(partials), truth, ys, parts)
         )

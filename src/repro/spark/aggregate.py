@@ -1,10 +1,10 @@
 """Distributed sketch builders — the paper's mergeability put to work.
 
 Every Spark sketch is built by one executor-side function,
-``fill_sketch``: drop nulls/NaN, start an empty sketch with the
-template's parameters and a seeded RNG, ``update`` with each Arrow
-batch.  Algorithm 4's merge is full, so any merge tree keeps the
-guarantee (App. C) and the dataflow only chooses where merges run:
+``fill_sketch``: drop nulls/NaN, start an empty ``ReqSketch(k)`` with a
+seeded RNG, ``update`` with each Arrow batch.  Algorithm 4's merge is
+full, so any merge tree keeps the guarantee (App. C) and the dataflow
+only chooses where merges run:
 
 * ``build_sketch(..., method="map_partitions")`` — ``mapInPandas``
   emits one partial per non-empty partition as bytes; the driver merges
@@ -25,7 +25,7 @@ shared RNG).
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 import pandas as pd
@@ -36,25 +36,17 @@ from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 
 
-def fill_sketch(
-    template: ReqSketch, entropy: Sequence[int], columns: Iterable[pd.Series]
-) -> ReqSketch:
+def fill_sketch(k: int, entropy: Sequence[int], columns: Iterable[pd.Series]) -> ReqSketch:
     """The executor-side builder behind every Spark shape.
 
-    An empty sketch with ``template``'s parameters and an RNG seeded by
+    An empty ``ReqSketch(k)`` with an RNG seeded by
     ``SeedSequence(entropy)``, updated with the non-null values of each
     column chunk (a pandas Series, or a float64 array with NaN for null)
     in turn.  The generator is built only when the sketch first compacts
     or is encoded (``LazyRng``), so a group that never fills level 0
     never builds one.
     """
-    sk = ReqSketch(
-        template.k,
-        schedule=template.schedule,
-        khat=template._khat,
-        k_const=template._k_const,
-    )
-    sk._rng_src = np.random.SeedSequence(entropy)
+    sk = ReqSketch(k, seed=np.random.SeedSequence(entropy))
     for chunk in columns:
         if not isinstance(chunk, np.ndarray):
             chunk = chunk.to_numpy(dtype=np.float64, na_value=np.nan)
@@ -62,12 +54,12 @@ def fill_sketch(
     return sk
 
 
-def _partial_blobs(df: DataFrame, col: str, template: ReqSketch, seed: int) -> DataFrame:
+def _partial_blobs(df: DataFrame, col: str, k: int, seed: int) -> DataFrame:
     """``sketch binary``: one serialized partial per non-empty partition."""
 
     def build(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         pid = TaskContext.get().partitionId()
-        sk = fill_sketch(template, [seed, pid], (pdf[col] for pdf in batches))
+        sk = fill_sketch(k, [seed, pid], (pdf[col] for pdf in batches))
         if sk.n:
             yield pd.DataFrame({"sketch": [serde.to_bytes(sk)]})
 
@@ -75,10 +67,10 @@ def _partial_blobs(df: DataFrame, col: str, template: ReqSketch, seed: int) -> D
 
 
 def partition_sketches(
-    df: DataFrame, col: str, *, template: ReqSketch, seed: int = 0
+    df: DataFrame, col: str, *, k: int = 32, seed: int = 0
 ) -> List[ReqSketch]:
     """One partial REQ sketch per non-empty partition, in partition order."""
-    out = _partial_blobs(df, col, template, seed).collect()
+    out = _partial_blobs(df, col, k, seed).collect()
     return [serde.from_bytes(row["sketch"]) for row in out]
 
 
@@ -121,9 +113,6 @@ def build_sketch(
     *,
     k: int = 32,
     seed: int = 0,
-    schedule: str = "req",
-    khat: Optional[float] = None,
-    k_const: int = 2 ** 5,
     method: str = "map_partitions",
     depth: int = 2,
 ) -> ReqSketch:
@@ -134,11 +123,10 @@ def build_sketch(
     executors by ``treeReduce``).
     ``depth``: treeReduce depth (tree_aggregate only).
     """
-    template = ReqSketch(k, schedule=schedule, khat=khat, k_const=k_const)
     if method == "tree_aggregate":
         # treeReduce raises ValueError on an empty RDD (no rows).
-        blobs = _partial_blobs(df, col, template, seed).rdd.map(lambda r: r[0])
+        blobs = _partial_blobs(df, col, k, seed).rdd.map(lambda r: r[0])
         return serde.from_bytes(blobs.treeReduce(_merge_blobs, depth))
     if method != "map_partitions":
         raise ValueError(f"unknown method {method!r}")
-    return merge_balanced(partition_sketches(df, col, template=template, seed=seed))
+    return merge_balanced(partition_sketches(df, col, k=k, seed=seed))

@@ -1,4 +1,4 @@
-"""Spark-SQL ground truth + comparison frames for accuracy experiments.
+"""Spark-SQL ground truth for accuracy experiments: exact ranks.
 
 ``exact_ranks`` computes exact inclusive ranks R(y) = |{x : x <= y}| for
 a list of query points with a single Spark aggregation (no per-query
@@ -48,19 +48,3 @@ def exact_ranks_sql(table: str, col: str, queries: Sequence[float]) -> str:
         f"FROM {table} t CROSS JOIN (VALUES {vals}) AS q(y) "
         f"GROUP BY q.y ORDER BY q.y"
     )
-
-
-def rank_comparison_frame(
-    df: DataFrame,
-    col: str,
-    queries: Sequence[float],
-    estimated_ranks: Sequence[int],
-) -> pd.DataFrame:
-    """pandas frame (y, true_rank, est_rank, rel_err) for reporting."""
-    truth = {r["y"]: r["rank"] for r in exact_ranks(df, col, queries).collect()}
-    rows = []
-    for y, est in zip(queries, estimated_ranks):
-        t = int(truth[float(y)])
-        rel = abs(int(est) - t) / t if t > 0 else float(int(est) != 0)
-        rows.append({"y": float(y), "true_rank": t, "est_rank": int(est), "rel_err": rel})
-    return pd.DataFrame(rows)

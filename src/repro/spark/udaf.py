@@ -51,7 +51,7 @@ from repro.spark.aggregate import fill_sketch, merge_sequential
 Group = Tuple[tuple, np.ndarray]
 
 
-def _group_sketch(key: tuple, values, template: ReqSketch, seed: int) -> ReqSketch:
+def _group_sketch(key: tuple, values, k: int, seed: int) -> ReqSketch:
     """The per-group build: ``fill_sketch`` of the group's ``values`` (a
     pandas Series or a float64 array) seeded by the group key.
 
@@ -62,7 +62,7 @@ def _group_sketch(key: tuple, values, template: ReqSketch, seed: int) -> ReqSket
         int.from_bytes(hashlib.blake2b(str(v).encode(), digest_size=4).digest(), "little")
         for v in key
     ]
-    return fill_sketch(template, entropy, [values])
+    return fill_sketch(k, entropy, [values])
 
 
 def _same_key(a: np.ndarray, za: np.ndarray, b: np.ndarray, zb: np.ndarray) -> np.ndarray:
@@ -201,13 +201,11 @@ def group_sketches(
     *,
     k: int = 32,
     seed: int = 0,
-    schedule: str = "req",
 ) -> DataFrame:
     """One REQ sketch per group: columns ``group_cols + [sketch, n]``."""
-    template = ReqSketch(k, schedule=schedule)
 
     def emit(groups: List[Group], out: dict) -> pd.DataFrame:
-        sketches = [_group_sketch(key, vals, template, seed) for key, vals in groups]
+        sketches = [_group_sketch(key, vals, k, seed) for key, vals in groups]
         out["sketch"] = [serde.to_bytes(sk) for sk in sketches]
         out["n"] = np.array([sk.n for sk in sketches], dtype=np.int64)
         return pd.DataFrame(out)
@@ -236,13 +234,12 @@ def group_quantiles(
     value answers ``value = null``, as ``percentile_approx`` does.
     """
     phis = np.sort(check_fractions(phis), kind="stable")
-    template = ReqSketch(k)
     no_answer = np.full(phis.size, np.nan)
 
     def emit(groups: List[Group], out: dict) -> pd.DataFrame:
         answers = []
         for key, vals in groups:
-            sk = _group_sketch(key, vals, template, seed)
+            sk = _group_sketch(key, vals, k, seed)
             answers.append(sk.quantiles(phis) if sk.n else no_answer)
         out["phi"] = np.tile(phis, len(groups))
         out["value"] = np.concatenate(answers)

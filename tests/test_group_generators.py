@@ -59,9 +59,9 @@ def test_small_groups_build_no_generator(spark, monkeypatch):
     assert list(got.itertuples(index=False, name=None)) == want
 
 
-def _eager(template, entropy, values):
+def _eager(k, entropy, values):
     """``fill_sketch`` as it was: the generator built up front."""
-    sk = ReqSketch(template.k)
+    sk = ReqSketch(k)
     sk.rng = np.random.default_rng(np.random.SeedSequence(entropy))
     for chunk in values:
         sk.update(chunk[~np.isnan(chunk)])
@@ -102,10 +102,9 @@ def test_deferred_generator_keeps_blobs(inputs, lineitem_prices):
             ([7, int(part)], [g["l_extendedprice"].to_numpy()])
             for part, g in pdf.groupby("l_partkey", sort=True)
         ] + [([7, i], [g["l_extendedprice"].to_numpy()]) for i, (_, g) in enumerate(pdf.groupby("l_returnflag"))]
-    template = ReqSketch(32)
     compacted = 0
     for entropy, values in builds:
-        got = fill_sketch(template, entropy, values)
+        got = fill_sketch(32, entropy, values)
         compacted += got.num_levels > 1
-        assert serde.to_bytes(got) == serde.to_bytes(_eager(template, entropy, values))
+        assert serde.to_bytes(got) == serde.to_bytes(_eager(32, entropy, values))
     assert compacted > 0

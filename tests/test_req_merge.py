@@ -162,6 +162,12 @@ class TestMergeCompatibility:
         with pytest.raises(ValueError):
             a.merge(b)
 
+    def test_k_const_mismatch_rejected(self):
+        a = ReqSketch.from_error_mergeable(0.1, 0.1, k_const=4)
+        b = ReqSketch.from_error_mergeable(0.1, 0.1, k_const=32).update([1.0])
+        with pytest.raises(ValueError, match="k_const"):
+            a.merge(b)
+
     def test_type_mismatch_rejected(self):
         with pytest.raises(TypeError):
             ReqSketch(8).merge(object())

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactRanks
-from repro.baselines.sampling import BernoulliSampler, ReservoirSampler
+from repro.baselines.sampling import BernoulliSampler
 from repro.synth_data import stream_array
 
 
@@ -50,46 +50,3 @@ class TestBernoulli:
         assert a.n == 2000
         with pytest.raises(ValueError):
             a.merge(BernoulliSampler(0.2))
-
-
-class TestReservoir:
-    def test_bad_size_rejected(self):
-        with pytest.raises(ValueError):
-            ReservoirSampler(0)
-
-    def test_exact_below_capacity(self):
-        s = ReservoirSampler(100, seed=0).update(np.arange(50.0))
-        assert s.num_retained() == 50 and s.n == 50
-
-    def test_capped_at_m(self):
-        s = ReservoirSampler(64, seed=1).update(stream_array("uniform", 5000, seed=1))
-        assert s.num_retained() == 64 and s.n == 5000
-
-    def test_uniformity_mean(self):
-        """Sample mean of U[0,1) reservoir ~ 0.5 across seeds."""
-        means = []
-        for seed in range(10):
-            s = ReservoirSampler(200, seed=seed).update(
-                stream_array("uniform", 20_000, seed=50 + seed)
-            )
-            means.append(s.sample_mean() if hasattr(s, "sample_mean") else s._res.mean())
-        assert abs(np.mean(means) - 0.5) < 0.03
-
-    def test_rank_estimate_mid(self):
-        n = 20_000
-        data = stream_array("permutation", n, seed=6)
-        s = ReservoirSampler(500, seed=6).update(data)
-        assert abs(s.rank(n / 2) - n / 2) < 0.15 * n
-
-    def test_merge_sizes(self):
-        a = ReservoirSampler(100, seed=7).update(stream_array("uniform", 3000, seed=7))
-        b = ReservoirSampler(100, seed=8).update(stream_array("uniform", 7000, seed=8))
-        a.merge(b)
-        assert a.n == 10_000 and a.num_retained() == 100
-        with pytest.raises(ValueError):
-            a.merge(ReservoirSampler(50))
-
-    def test_merge_empty(self):
-        a = ReservoirSampler(10, seed=9)
-        a.merge(ReservoirSampler(10, seed=10))
-        assert a.n == 0

@@ -72,7 +72,7 @@ class TestReqRoundtrip:
 
 def _fill_blob(n=3_000, seed=5):
     vals = pd.Series(stream_array("uniform", n, seed=seed))
-    return serde.to_bytes(fill_sketch(ReqSketch(8), [seed, 0], [vals]))
+    return serde.to_bytes(fill_sketch(8, [seed, 0], [vals]))
 
 
 def _merged_blob():
@@ -129,7 +129,9 @@ class TestGeneratorOnFirstDraw:
     def test_seed_matches_given_generator(self, seed):
         data = stream_array("uniform", 10_000, seed=seed)
         lazy = ReqSketch(8, seed=seed).update(data)
-        given = ReqSketch(8, _rng=np.random.default_rng(seed)).update(data)
+        given = ReqSketch(8)
+        given.rng = np.random.default_rng(seed)
+        given.update(data)
         assert serde.to_bytes(lazy) == serde.to_bytes(given)
 
     def test_copy_of_undrawn_sketch_keeps_state(self):
@@ -413,7 +415,8 @@ class TestEncoder:
             serde.to_bytes(ReqSketch(4, N0=2 ** 128))
 
     def test_non_pcg64_generator_refused(self):
-        sk = ReqSketch(4, _rng=np.random.Generator(np.random.MT19937(1)))
+        sk = ReqSketch(4)
+        sk.rng = np.random.Generator(np.random.MT19937(1))
         with pytest.raises(ValueError, match="PCG64"):
             serde.to_bytes(sk)
 

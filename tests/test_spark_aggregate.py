@@ -1,9 +1,12 @@
 """Distributed-build tests: partition partials, merge trees, treeAggregate."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import synth_data as sd
 from repro.baselines.exact import ExactRanks, relative_errors
+from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 from repro.spark import aggregate as agg
 
@@ -21,19 +24,19 @@ def stream(spark):
 class TestPartitionSketches:
     def test_one_sketch_per_nonempty_partition(self, spark, stream):
         _, df = stream
-        parts = agg.partition_sketches(df, "x", template=ReqSketch(16), seed=1)
+        parts = agg.partition_sketches(df, "x", k=16, seed=1)
         assert 1 <= len(parts) <= 8
         assert sum(p.n for p in parts) == N
 
     def test_partials_weight_conserved(self, spark, stream):
         _, df = stream
-        parts = agg.partition_sketches(df, "x", template=ReqSketch(16), seed=2)
+        parts = agg.partition_sketches(df, "x", k=16, seed=2)
         assert all(p.total_weight() == p.n for p in parts)
 
     def test_deterministic_given_seed_and_layout(self, spark, stream):
         _, df = stream
-        a = agg.partition_sketches(df, "x", template=ReqSketch(16), seed=3)
-        b = agg.partition_sketches(df, "x", template=ReqSketch(16), seed=3)
+        a = agg.partition_sketches(df, "x", k=16, seed=3)
+        b = agg.partition_sketches(df, "x", k=16, seed=3)
         qs = np.linspace(1, N, 20)
         ra = agg.merge_balanced(a).ranks(qs)
         rb = agg.merge_balanced(b).ranks(qs)
@@ -44,7 +47,7 @@ class TestPartitionSketches:
 
         pdf = pd.DataFrame({"x": [1.0, None, 3.0, None, 5.0]})
         df = spark.createDataFrame(pdf)
-        parts = agg.partition_sketches(df, "x", template=ReqSketch(8), seed=4)
+        parts = agg.partition_sketches(df, "x", k=8, seed=4)
         assert sum(p.n for p in parts) == 3
 
 
@@ -56,7 +59,7 @@ class TestMergeShapes:
 
     def test_sequential_weight(self, spark, stream):
         _, df = stream
-        parts = agg.partition_sketches(df, "x", template=ReqSketch(16), seed=6)
+        parts = agg.partition_sketches(df, "x", k=16, seed=6)
         assert agg.merge_sequential(parts).total_weight() == N
 
     def test_merge_helpers_reject_empty(self):
@@ -121,7 +124,7 @@ class TestTreeAggregate:
         _, df = stream
         tree = agg.build_sketch(df, "x", k=16, seed=14, method="tree_aggregate", depth=1)
         seq = agg.merge_sequential(
-            agg.partition_sketches(df, "x", template=ReqSketch(16), seed=14)
+            agg.partition_sketches(df, "x", k=16, seed=14)
         )
         qs = np.linspace(0, N, 41)
         assert np.array_equal(tree.ranks(qs), seq.ranks(qs))
@@ -140,6 +143,27 @@ class TestTreeAggregate:
         df = spark.createDataFrame(pd.DataFrame({"x": [1.0]})).filter("x > 2")
         with pytest.raises(ValueError):
             agg.build_sketch(df, "x", method="map_partitions")
+
+
+class TestPinnedBytes:
+    """A Spark build's bytes are fixed by its input, layout, ``k`` and
+    ``seed``: a refactor of the builders must not change them."""
+
+    DIGESTS = {
+        "map_partitions": "071118a9e5063ec4425d6758d1a2cd6134a894a6a113fce7f6a3fd5931d25ce0",
+        "tree_aggregate": "aa132fd8064ce39be83eca63539d922e19892d6b6040ab381aecc595dee27559",
+    }
+
+    @pytest.mark.parametrize("method", sorted(DIGESTS))
+    def test_build_bytes_pinned(self, spark, method):
+        from pyspark.sql import functions as F
+
+        df = spark.range(0, 50_000, 1, 4).select(
+            ((F.col("id") * 7919) % 50_000).cast("double").alias("x")
+        )
+        sk = agg.build_sketch(df, "x", k=16, seed=5, method=method, depth=2)
+        assert sk.n == 50_000 and sk.num_levels > 1
+        assert hashlib.sha256(serde.to_bytes(sk)).hexdigest() == self.DIGESTS[method]
 
 
 class TestTpchColumn:

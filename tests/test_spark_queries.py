@@ -57,12 +57,3 @@ class TestExactRanksOracle:
         got = {r["y"]: r["rank"] for r in Q.exact_ranks(li, "l_extendedprice", qs).collect()}
         for q in qs:
             assert got[float(q)] == ex.rank(q)
-
-
-class TestComparisonFrame:
-    def test_rank_comparison_frame(self, spark, li):
-        qs = [1000.0, 50000.0]
-        est = [li.count() // 100, li.count() // 2]
-        pdf = Q.rank_comparison_frame(li, "l_extendedprice", qs, est)
-        assert list(pdf.columns) == ["y", "true_rank", "est_rank", "rel_err"]
-        assert (pdf["rel_err"] >= 0).all()

@@ -11,7 +11,6 @@ from pyspark.sql import functions as F
 
 from repro import synth_data as sd
 from repro.core import serde
-from repro.core.req_sketch import ReqSketch
 from repro.oracle import assert_equivalent
 from repro.spark import udaf
 from repro.spark.aggregate import fill_sketch, merge_sequential
@@ -154,9 +153,8 @@ class TestGroupSeeds:
     @pytest.mark.parametrize("key", PINNED, ids=str)
     def test_pinned_entropy(self, key):
         pdf = pd.DataFrame({"x": np.arange(200.0)})
-        template = ReqSketch(4)
-        got = udaf._group_sketch(key, pdf["x"], template, seed=5)
-        want = fill_sketch(template, [5] + self.PINNED[key], [pdf["x"]])
+        got = udaf._group_sketch(key, pdf["x"], 4, seed=5)
+        want = fill_sketch(4, [5] + self.PINNED[key], [pdf["x"]])
         assert serde.to_bytes(got) == serde.to_bytes(want)
 
 
@@ -176,10 +174,8 @@ def _conf(spark, settings):
 def _apply_in_pandas(df, keys, col, phis=None, *, k, seed):
     """The replaced path: ``applyInPandas`` builds each group's sketch in
     its own Python call, and ``orderBy`` sorts the answers."""
-    template = ReqSketch(k)
-
     def one(key, pdf):
-        sk = udaf._group_sketch(key, pdf[col], template, seed)
+        sk = udaf._group_sketch(key, pdf[col], k, seed)
         if phis is None:
             return pd.DataFrame([key + (serde.to_bytes(sk), sk.n)], columns=keys + ["sketch", "n"])
         vals = sk.quantiles(phis) if sk.n else [None] * len(phis)
@@ -252,10 +248,10 @@ class TestKeyRangePass:
         with _conf(spark, {"spark.sql.shuffle.partitions": "1"}):
             got = {r["g"]: bytes(r["sketch"]) for r in udaf.group_sketches(df, ["g"], "x", k=8, seed=3).collect()}
         assert set(got) == {None, 2, big, big + 1}
-        want = udaf._group_sketch((2,), vals, ReqSketch(8), seed=3)
+        want = udaf._group_sketch((2,), vals, 8, seed=3)
         assert want.num_levels > 1
         assert got[2] == serde.to_bytes(want)
-        assert got[2] != serde.to_bytes(udaf._group_sketch((2.0,), vals, ReqSketch(8), seed=3))
+        assert got[2] != serde.to_bytes(udaf._group_sketch((2.0,), vals, 8, seed=3))
 
     @pytest.mark.parametrize("dtype", ["double", "float"])
     @pytest.mark.parametrize("batch", ["10000", "3"])
