@@ -74,9 +74,6 @@ class RelativeCompactor:
     def capacity(self) -> int:
         return self.params.B
 
-    def is_full(self) -> bool:
-        return self._count >= self.params.B
-
     def special_moves(self) -> bool:
         """Whether a special compaction would move any item: more than
         one item sits above the protected half (an even range needs two)."""

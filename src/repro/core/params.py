@@ -63,12 +63,6 @@ def k_small_delta(eps: float, delta: float) -> int:
     return _even_at_least(16 * math.ceil(log_ln / eps))
 
 
-def num_sections_streaming(n: int, k: int) -> int:
-    """ceil(log2(n/k)) per Algorithm 1 line 1, at least 1."""
-    _check_k(k)
-    return max(1, math.ceil(math.log2(max(2.0, n / k))))
-
-
 def num_sections_mergeable(N: int, k: int) -> int:
     """ceil(log2(N/k) + 1) per Eq. (15), at least 2."""
     _check_k(k)

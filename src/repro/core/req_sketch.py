@@ -139,9 +139,6 @@ class ReqSketch(LazyRng, estimator.Queries):
         item whose running rank never exceeds min(B)/2 is never compacted."""
         return self._min_B // 2
 
-    def is_empty(self) -> bool:
-        return self.n == 0
-
     # ------------------------------------------------------------------ update
 
     def update(self, values: Iterable[float] | np.ndarray | float) -> "ReqSketch":
@@ -160,7 +157,9 @@ class ReqSketch(LazyRng, estimator.Queries):
             if room <= 0:
                 self._compact_cascade()
                 continue
-            take = min(room, total - pos)
+            # Stop at the item where n first exceeds N, so growth runs at
+            # the same fill level however the stream is split into calls.
+            take = min(room, total - pos, max(1, self.N - self.n + 1))
             lv0.append(arr[pos : pos + take])
             pos += take
             self.n += take
@@ -214,11 +213,6 @@ class ReqSketch(LazyRng, estimator.Queries):
         # Lines 12-17: one bottom-up scheduled pass.
         self._compact_cascade()
         return self
-
-    @staticmethod
-    def merge_of(a: "ReqSketch", b: "ReqSketch") -> "ReqSketch":
-        """Non-destructive merge: returns a new sketch, operands untouched."""
-        return a.copy().merge(b)
 
     def copy(self) -> "ReqSketch":
         """Independent copy.  It gets the generator's state, not the

@@ -14,9 +14,9 @@ only chooses where merges run:
   blobs merged on executors by ``RDD.treeReduce`` (decode, merge,
   encode) with ``depth`` combiner levels; only the root reaches the
   driver.  ``depth=1`` is the left fold in partition order.
-* ``repro.spark.udaf`` — one sketch per group, built in one
-  ``mapInPandas`` pass over key-sorted range partitions and answered or
-  emitted in the task that builds it.
+* ``repro.spark.udaf`` — one sketch per group, built by a pandas UDF
+  over ``groupBy``'s collected values and answered or emitted where it
+  is built.
 
 Randomness: a partition's sketch is seeded by SeedSequence([seed,
 partition_id]) so distributed builds are reproducible and partitions are

@@ -6,6 +6,7 @@ Deferring the build must not change a single byte of any sketch."""
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro import synth_data as sd
 from repro.core import serde
@@ -29,8 +30,8 @@ def _counting_default_rng(monkeypatch):
 
 
 def test_small_groups_build_no_generator(spark, monkeypatch):
-    """Replays ``group_quantiles``'s task in this process on the rows it
-    receives: only the two groups of at least B rows build a generator."""
+    """Replays ``group_quantiles``'s UDF in this process on the group rows
+    it receives: only the two groups of at least B rows build a generator."""
     k = 32
     B = ReqSketch(k).B
     rng = np.random.default_rng(1)
@@ -39,24 +40,25 @@ def test_small_groups_build_no_generator(spark, monkeypatch):
     pdf = pd.DataFrame({"g": keys, "x": rng.lognormal(size=keys.size)})
     df = spark.createDataFrame(pdf.sample(frac=1.0, random_state=2))
 
-    passes = []
-    map_in_pandas = type(df).mapInPandas
+    udfs = []
+    pandas_udf = F.pandas_udf
 
-    def spy(self, func, schema, *args, **kwargs):
-        passes.append((self, func))
-        return map_in_pandas(self, func, schema, *args, **kwargs)
+    def spy(func, return_type):
+        udfs.append(func)
+        return pandas_udf(func, return_type)
 
-    monkeypatch.setattr(type(df), "mapInPandas", spy)
+    monkeypatch.setattr(F, "pandas_udf", spy)
     out = udaf.group_quantiles(df, ["g"], "x", PHIS, k=k)
-    (pass_input, task), = passes
-    want = [tuple(r) for r in out.collect()]
-    batch = pass_input.toPandas()
+    (answer,) = udfs
+    want = {}
+    for r in out.collect():
+        want.setdefault(r["g"], []).append(r["value"])
+    rows = udaf._group_rows(df, ["g"], "x").toPandas()
 
     calls = _counting_default_rng(monkeypatch)
-    frames = list(task(iter([batch])))
+    got = answer(rows["_values"], rows["_key_hash"])
     assert len(calls) == 2
-    got = pd.concat(frames)
-    assert list(got.itertuples(index=False, name=None)) == want
+    assert dict(zip(rows["g"], map(list, got))) == want
 
 
 def _eager(k, entropy, values):

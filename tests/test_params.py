@@ -83,7 +83,9 @@ class TestGeometry:
     @pytest.mark.parametrize("k", [2, 4, 16, 100])
     @pytest.mark.parametrize("n", [10, 1000, 1 << 20])
     def test_num_sections_streaming(self, k, n):
-        s = P.num_sections_streaming(n, k)
+        # Algorithm 1's streaming count ceil(log2(n/k)), at least 1: the
+        # mergeable geometry of Eq. (15) is that count plus one section.
+        s = P.num_sections_mergeable(n, k) - 1
         assert s >= 1
         if n / k >= 2:
             assert s == math.ceil(math.log2(n / k))

@@ -113,3 +113,23 @@ def test_serde_roundtrip_property(values, k, seed):
     cp = serde.from_bytes(serde.to_bytes(sk))
     qs = np.sort(np.array(values))
     assert np.array_equal(cp.ranks(qs), sk.ranks(qs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 3_000),
+    cuts=st.lists(st.integers(0, 3_000), max_size=40),
+    k=ks,
+    seed=st.integers(0, 2 ** 16),
+)
+def test_req_bytes_do_not_depend_on_how_update_calls_split_the_stream(n, cuts, k, seed):
+    """Growth (special compactions, then N <- N^2) runs at the item where
+    n first exceeds N, whatever the chunk boundaries."""
+    from repro.core import serde
+
+    x = np.random.default_rng(seed).lognormal(size=n)
+    whole = ReqSketch(k, seed=seed).update(x)
+    pieces = ReqSketch(k, seed=seed)
+    for chunk in np.split(x, sorted(c for c in cuts if c <= n)):
+        pieces.update(chunk)
+    assert serde.to_bytes(pieces) == serde.to_bytes(whole)

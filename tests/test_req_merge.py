@@ -43,7 +43,7 @@ class TestMergeBasics:
     def test_merge_of_nondestructive(self):
         a = sketch_of(stream_array("uniform", 3_000, seed=8), seed=8)
         b = sketch_of(stream_array("uniform", 3_000, seed=9), seed=9)
-        m = ReqSketch.merge_of(a, b)
+        m = a.copy().merge(b)
         assert m.n == 6_000 and a.n == 3_000 and b.n == 3_000
 
     def test_merge_very_unequal_sizes(self):
@@ -219,7 +219,7 @@ class TestMergeAccuracy:
         ]
         while len(layer) > 1:
             layer = [
-                ReqSketch.merge_of(layer[i], layer[i + 1])
+                layer[i].copy().merge(layer[i + 1])
                 for i in range(0, len(layer), 2)
             ]
         m = layer[0]

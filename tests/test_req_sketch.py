@@ -13,7 +13,7 @@ KINDS = ["permutation", "sorted", "reversed", "uniform", "lognormal"]
 class TestBasics:
     def test_empty(self):
         sk = ReqSketch(k=8)
-        assert sk.is_empty() and sk.n == 0
+        assert sk.n == 0
         assert sk.num_retained() == 0 and sk.total_weight() == 0
 
     def test_single_item(self):

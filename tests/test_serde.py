@@ -177,60 +177,67 @@ def _items(n):
 
 # name -> (sketch builder, fixture hex, expected decode: n, N, k, schedule,
 # level states, level sizes, ranks of 10, 50 and 90). The adaptive sketch
-# starts at N = 16 and grows once, to 256.
+# starts at N = 16 and grows once, to 256.  After a deliberate change to
+# the layout or to the algorithm, regenerate the hex and the decode tuple
+# from the builders, from the repository root:
+#   PYTHONPATH=src python -c "from tests.test_serde import GOLDEN, serde
+#   for m, _, _ in GOLDEN.values(): print(serde.to_bytes(m()).hex())"
+# then check that each blob decodes to a sketch that answers within the
+# bound before pinning it.
 GOLDEN = {
     "fixed_k": (
         lambda: ReqSketch(4, seed=7).update(_items(60)),
         "5251534b030004000000000000000000f87f200000000004000000000000000000000000"
         "00003c0000000000000020000000000000000200000071581c9c5b4d26e10d328c9db3ef"
-        "749859d970c05a7f8866bfce8ace961875c400a94106a002000000000000002800000000"
-        "000000000000000a00000000000000000000000000000000000040000000000000084000"
+        "749859d970c05a7f8866bfce8ace961875c400a94106a002000000000000002c00000000"
+        "000000000000000800000000000000000000000000000000000040000000000000084000"
         "000000000014400000000000001840000000000000224000000000000024400000000000"
         "0028400000000000002a400000000000002e400000000000003040000000000000334000"
         "000000000034400000000000003640000000000000374000000000000039400000000000"
         "003a400000000000003d400000000000003e400000000000004040000000000080404000"
         "000000000042400000000000804240000000000080434000000000000044400000000000"
-        "004540000000000080454000000000008048400000000000004a400000000000004c4000"
-        "00000000804d400000000000004f40000000000080504000000000004051400000000000"
-        "0053400000000000c0534000000000008055400000000000405640000000000040574000"
-        "0000000000584000000000008047400000000000804a400000000000004e400000000000"
-        "c05040000000000040524000000000004053400000000000c054400000000000c0554000"
-        "000000008057400000000000005940",
-        (60, 1024, 4, "req", [2, 0], [40, 10], [7, 30, 54]),
+        "004540000000000080454000000000000047400000000000804740000000000080484000"
+        "000000000049400000000000004a400000000000004c400000000000804d400000000000"
+        "004f400000000000805040000000000040514000000000000053400000000000c0534000"
+        "00000000c054400000000000805540000000000040564000000000004057400000000000"
+        "0058400000000000804c400000000000804f400000000000805140000000000080524000"
+        "000000000054400000000000c0554000000000008057400000000000005940",
+        (60, 1024, 4, "req", [2, 0], [44, 8], [7, 31, 54]),
     ),
     "adaptive_grown": (
         lambda: ReqSketch.from_error_mergeable(0.5, 0.5, seed=8, k_const=2).update(_items(40)),
         "5251534b03000200000047cd619149a4fa3f020000000001000000000000000000000000"
-        "000028000000000000001000000000000000020000003410f809e63199b50b567b22ae76"
-        "a2f02d188c1feb8d7b300fbbfb9c2f86be2d008274b45302000000000000001e00000000"
+        "00002800000000000000100000000000000002000000316e6a648db241fec2487b1c39eb"
+        "3d072d188c1feb8d7b300fbbfb9c2f86be2d01da2cbefc03000000000000001e00000000"
         "000000000000000500000000000000000000000000000000000840000000000000184000"
         "0000000000224000000000000024400000000000002a4000000000000030400000000000"
         "003340000000000000344000000000000037400000000000003a400000000000003d4000"
         "00000000003e400000000000804040000000000000424000000000008042400000000000"
-        "80454000000000000047400000000000804a400000000000004c400000000000004e4000"
-        "00000000804f400000000000805140000000000040524000000000000054400000000000"
-        "c05440000000000080564000000000004057400000000000405840000000000000594000"
-        "0000000000444000000000000049400000000000c0504000000000004053400000000000"
-        "805740",
-        (40, 256, 2, "req", [2, 0], [30, 5], [5, 22, 35]),
+        "0044400000000000804540000000000000474000000000008047400000000000804a4000"
+        "00000000004c400000000000004e400000000000804f4000000000008051400000000000"
+        "40524000000000000054400000000000c054400000000000805640000000000040574000"
+        "000000000049400000000000c05040000000000040534000000000008057400000000000"
+        "405840",
+        (40, 256, 2, "req", [3, 0], [30, 5], [5, 22, 35]),
     ),
     "schedule_all": (
         lambda: ReqSketch(4, seed=9, schedule="all").update(_items(60)),
         "5251534b030104000000000000000000f87f200000000004000000000000000000000000"
         "00003c00000000000000200000000000000002000000a62e48cb7cef3de46ef0694c9684"
-        "e342dbd9488780f9eb0e5843db36872cd92300dea6c8de02000000000000001c00000000"
-        "000000000000001000000000000000000000000000000000000040000000000000084000"
+        "e342dbd9488780f9eb0e5843db36872cd92301dea6c8de01000000000000002c00000000"
+        "000000000000000800000000000000000000000000000000000040000000000000084000"
         "000000000014400000000000001840000000000000224000000000000024400000000000"
         "0028400000000000002a400000000000002e400000000000003040000000000000334000"
         "000000000034400000000000003640000000000000374000000000000039400000000000"
-        "003a400000000000003d400000000000003e400000000000004040000000000000454000"
-        "00000000004a400000000000804d400000000000004f4000000000004051400000000000"
-        "c05340000000000040564000000000000058400000000000004240000000000080434000"
-        "00000000804540000000000080474000000000000049400000000000004c400000000000"
-        "804c400000000000804f4000000000008051400000000000405240000000000040534000"
-        "00000000c054400000000000005540000000000080564000000000004057400000000000"
-        "405840",
-        (60, 1024, 4, "all", [2, 0], [28, 16], [7, 31, 55]),
+        "003a400000000000003d400000000000003e400000000000004040000000000080404000"
+        "000000000042400000000000804240000000000080434000000000000044400000000000"
+        "004540000000000080454000000000000047400000000000804740000000000080484000"
+        "00000000004a400000000000004c400000000000804d400000000000004f400000000000"
+        "8050400000000000405140000000000040524000000000000053400000000000c0534000"
+        "00000000c054400000000000805540000000000040564000000000004057400000000000"
+        "00584000000000000049400000000000804c400000000000804f40000000000080514000"
+        "00000000405340000000000000554000000000008056400000000000405840",
+        (60, 1024, 4, "all", [1, 0], [44, 8], [7, 32, 56]),
     ),
 }
 

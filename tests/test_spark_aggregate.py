@@ -150,8 +150,8 @@ class TestPinnedBytes:
     ``seed``: a refactor of the builders must not change them."""
 
     DIGESTS = {
-        "map_partitions": "071118a9e5063ec4425d6758d1a2cd6134a894a6a113fce7f6a3fd5931d25ce0",
-        "tree_aggregate": "aa132fd8064ce39be83eca63539d922e19892d6b6040ab381aecc595dee27559",
+        "map_partitions": "b1acbada5c39980944cc221fd2bb6feb38b0b176ae05bbb1cc9989e387e61fb6",
+        "tree_aggregate": "0447277a384efb21d5b7142fa23e604087fb8f7878c04e421712f8f641abb162",
     }
 
     @pytest.mark.parametrize("method", sorted(DIGESTS))
@@ -164,6 +164,27 @@ class TestPinnedBytes:
         sk = agg.build_sketch(df, "x", k=16, seed=5, method=method, depth=2)
         assert sk.n == 50_000 and sk.num_levels > 1
         assert hashlib.sha256(serde.to_bytes(sk)).hexdigest() == self.DIGESTS[method]
+
+    def test_build_bytes_do_not_depend_on_arrow_batch_size(self, spark):
+        """``fill_sketch`` updates once per Arrow batch; the batch size
+        must not reach the bytes.  With k=32 the bound N grows at item
+        65 537, just before the batch boundary at 197 * 333 = 65 601."""
+        from pyspark.sql import functions as F
+
+        df = spark.range(0, 100_000, 1, 1).select(
+            ((F.col("id") * 7919) % 100_000).cast("double").alias("x")
+        )
+        key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        before = spark.conf.get(key)
+        blobs = []
+        try:
+            for batch in ("10000", "333"):
+                spark.conf.set(key, batch)
+                blobs.append(serde.to_bytes(agg.build_sketch(df, "x", k=32, seed=5)))
+        finally:
+            spark.conf.set(key, before)
+        assert serde.from_bytes(blobs[0]).N > 65_536
+        assert blobs[0] == blobs[1]
 
 
 class TestTpchColumn:

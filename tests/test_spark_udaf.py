@@ -1,7 +1,8 @@
-"""Grouped-sketch (UDAF shape) tests, oracle-checked and compared with
-the per-group ``applyInPandas`` path the key-range pass replaced."""
+"""Grouped-sketch (UDAF shape) tests, oracle-checked and compared with a
+per-group ``applyInPandas`` build of the same sketches."""
 import math
 import re
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -139,23 +140,29 @@ class TestRollup:
 
 
 class TestGroupSeeds:
-    """A group's RNG entropy is a 4-byte BLAKE2b digest of each key part,
-    so it does not depend on the process's ``PYTHONHASHSEED``."""
+    """A group's RNG entropy is ``[seed, xxhash64(keys, null flags) mod
+    2**64]``, computed by Spark, so it does not depend on the Python
+    process or its ``PYTHONHASHSEED``."""
 
-    # key -> entropy after the seed, one value per key part
+    # key -> (key column types, entropy after the seed)
     PINNED = {
-        (1,): [120362236],
-        ("A",): [2473737391],
-        ("N", "O"): [1546723501, 590930483],
-        (20240, None): [1102864055, 2152912699],
+        (1,): (["long"], 15558635447743907059),
+        ("A",): (["string"], 8490780497193803110),
+        ("N", "O"): (["string", "string"], 10260972197645012081),
+        (20240, None): (["long", "string"], 10810924285788341533),
     }
 
     @pytest.mark.parametrize("key", PINNED, ids=str)
-    def test_pinned_entropy(self, key):
-        pdf = pd.DataFrame({"x": np.arange(200.0)})
-        got = udaf._group_sketch(key, pdf["x"], 4, seed=5)
-        want = fill_sketch(4, [5] + self.PINNED[key], [pdf["x"]])
-        assert serde.to_bytes(got) == serde.to_bytes(want)
+    def test_pinned_entropy(self, spark, key):
+        types, entropy = self.PINNED[key]
+        names = [f"k{i}" for i in range(len(key))]
+        x = np.arange(200.0)
+        schema = ", ".join(f"{c} {t}" for c, t in zip(names, types)) + ", x double"
+        df = spark.createDataFrame([key + (v,) for v in x.tolist()], schema).coalesce(1)
+        (row,) = udaf.group_sketches(df, names, "x", k=4, seed=5).collect()
+        want = fill_sketch(4, [5, entropy], [x])
+        assert want.num_levels > 1
+        assert bytes(row["sketch"]) == serde.to_bytes(want)
 
 
 @contextmanager
@@ -172,10 +179,12 @@ def _conf(spark, settings):
 
 
 def _apply_in_pandas(df, keys, col, phis=None, *, k, seed):
-    """The replaced path: ``applyInPandas`` builds each group's sketch in
-    its own Python call, and ``orderBy`` sorts the answers."""
+    """A per-group reference: ``applyInPandas`` builds each group's sketch
+    in its own Python call, seeded by the key hash Spark computes on each
+    row, and ``orderBy`` sorts the answers."""
     def one(key, pdf):
-        sk = udaf._group_sketch(key, pdf[col], k, seed)
+        entropy = [seed, int(np.int64(pdf["key_hash"].iloc[0]).view(np.uint64))]
+        sk = fill_sketch(k, entropy, [pdf[col]])
         if phis is None:
             return pd.DataFrame([key + (serde.to_bytes(sk), sk.n)], columns=keys + ["sketch", "n"])
         vals = sk.quantiles(phis) if sk.n else [None] * len(phis)
@@ -183,7 +192,8 @@ def _apply_in_pandas(df, keys, col, phis=None, *, k, seed):
 
     tail = "sketch binary, n long" if phis is None else "phi double, value double"
     schema = ", ".join(f"{c} {df.schema[c].dataType.simpleString()}" for c in keys) + ", " + tail
-    out = df.groupBy(*keys).applyInPandas(one, schema)
+    hashed = df.withColumn("key_hash", F.xxhash64(*keys, *[F.col(c).isNull() for c in keys]))
+    out = hashed.groupBy(*keys).applyInPandas(one, schema)
     return out if phis is None else out.orderBy(*keys, "phi")
 
 
@@ -192,7 +202,9 @@ def _blob_set(out):
 
 
 class TestKeyRangePass:
-    """The one-pass build answers exactly as the per-group path did."""
+    """The one ``groupBy`` pass (the class keeps the name of the key-range
+    pass it replaced) answers exactly as a per-group build does, whatever
+    the shuffle and batch settings."""
 
     PHIS = [0.0, 0.01, 0.5, 0.99, 1.0]
 
@@ -215,7 +227,7 @@ class TestKeyRangePass:
             {},
             # more shuffle partitions than the 13 keys, none coalesced
             {"spark.sql.shuffle.partitions": "64", "spark.sql.adaptive.enabled": "false"},
-            # groups straddle Arrow batches
+            # many groups to one Arrow batch of 7 group rows
             {"spark.sql.execution.arrow.maxRecordsPerBatch": "7"},
         ],
         ids=["default", "sparse-partitions", "batches-of-7"],
@@ -223,7 +235,8 @@ class TestKeyRangePass:
     def test_matches_apply_in_pandas(self, spark, mixed, settings):
         keys = ["g", "h"]
         with _conf(spark, settings):
-            got = [tuple(r) for r in udaf.group_quantiles(mixed, keys, "x", self.PHIS, k=8, seed=2).collect()]
+            got = udaf.group_quantiles(mixed, keys, "x", self.PHIS, k=8, seed=2)
+            got = [tuple(r) for r in got.orderBy(*keys, "phi").collect()]
             want = [tuple(r) for r in _apply_in_pandas(mixed, keys, "x", self.PHIS, k=8, seed=2).collect()]
             assert got == want
             assert ("zz", 9, 0.5, None) in got
@@ -232,26 +245,54 @@ class TestKeyRangePass:
         assert len(sketches) == 13
         assert max(serde.from_bytes(r[2]).num_levels for r in sketches) > 1
 
+    def test_blob_set_is_the_same_under_any_setting(self, spark, mixed):
+        """Shuffle width and Arrow batch size reach neither a group's
+        values nor its seed."""
+        settings = [
+            {},
+            {"spark.sql.shuffle.partitions": "64", "spark.sql.adaptive.enabled": "false"},
+            {"spark.sql.shuffle.partitions": "1"},
+            {"spark.sql.execution.arrow.maxRecordsPerBatch": "3"},
+        ]
+        blob_sets = []
+        for s in settings:
+            with _conf(spark, s):
+                blob_sets.append(_blob_set(udaf.group_sketches(mixed, ["g", "h"], "x", k=8, seed=2)))
+        assert len(blob_sets[0]) == 13
+        assert all(b == blob_sets[0] for b in blob_sets[1:])
+
+    def test_key_columns_may_take_any_name_but_the_outputs(self, spark):
+        df = spark.createDataFrame([(1, 2, 3, 1.0)], "values long, key_hash long, out long, x double")
+        keys = ["values", "key_hash", "out"]
+        assert [tuple(r) for r in udaf.group_quantiles(df, keys, "x", [0.5]).collect()] == [(1, 2, 3, 0.5, 1.0)]
+        assert [r["n"] for r in udaf.group_sketches(df, keys, "x").collect()] == [1]
+
     def test_unsorted_fractions_answer_in_phi_order(self, spark, mixed):
         got = udaf.group_quantiles(mixed, ["g"], "x", [0.9, 0.1, 0.5], k=8).collect()
         assert [r["phi"] for r in got[:3]] == [0.1, 0.5, 0.9]
+        assert len({r["g"] for r in got[:3]}) == 1
 
     def test_int_key_beside_a_null_key_keeps_its_seed(self, spark):
-        """pandas reads an int column holding a null as float64; the group
-        key must still be ``2`` (as ``applyInPandas`` sees it), not ``2.0``,
-        and longs past 2**53 must stay apart.  The group's values are all
-        equal, so its blob depends on the seed and not on the row order."""
-        vals = np.full(300, 1.5)
+        """Group ``2`` is seeded as in a column with no null, and longs
+        past 2**53 stay apart.  Every group holds the same values, so a
+        blob depends on its seed and not on the row order."""
         big = 2 ** 60
-        rows = [(2, 1.5)] * vals.size + [(None, 1.0), (big, 2.0), (big + 1, 3.0)]
+        rows = [(g, 1.5) for g in (2, big, big + 1) for _ in range(300)] + [(None, 1.0)]
         df = spark.createDataFrame(rows, "g long, x double")
-        with _conf(spark, {"spark.sql.shuffle.partitions": "1"}):
-            got = {r["g"]: bytes(r["sketch"]) for r in udaf.group_sketches(df, ["g"], "x", k=8, seed=3).collect()}
+        got = {r["g"]: bytes(r["sketch"]) for r in udaf.group_sketches(df, ["g"], "x", k=8, seed=3).collect()}
         assert set(got) == {None, 2, big, big + 1}
-        want = udaf._group_sketch((2,), vals, 8, seed=3)
-        assert want.num_levels > 1
-        assert got[2] == serde.to_bytes(want)
-        assert got[2] != serde.to_bytes(udaf._group_sketch((2.0,), vals, 8, seed=3))
+        (alone,) = udaf.group_sketches(df.filter("g = 2"), ["g"], "x", k=8, seed=3).collect()
+        assert got[2] == bytes(alone["sketch"])
+        assert serde.from_bytes(got[2]).num_levels > 1
+        assert len({got[2], got[big], got[big + 1]}) == 3
+
+    def test_null_flags_keep_swapped_keys_apart(self, spark):
+        """``xxhash64`` skips nulls, so ``(null, "a")`` and ``("a", null)``
+        hash alike on the keys alone; the null flags tell them apart."""
+        rows = [(a, b, 1.5) for a, b in ((None, "a"), ("a", None)) for _ in range(300)]
+        df = spark.createDataFrame(rows, "p string, q string, x double")
+        blobs = [bytes(r["sketch"]) for r in udaf.group_sketches(df, ["p", "q"], "x", k=8).collect()]
+        assert len(blobs) == 2 and blobs[0] != blobs[1]
 
     @pytest.mark.parametrize("dtype", ["double", "float"])
     @pytest.mark.parametrize("batch", ["10000", "3"])
@@ -269,16 +310,16 @@ class TestKeyRangePass:
             sketches = udaf.group_sketches(df, ["g"], "x").collect()
             answers = udaf.group_quantiles(df, ["g"], "x", [0.5]).collect()
         assert sorted((canon(r["g"]), r["n"]) for r in sketches) == want
-        assert [canon(r["g"]) for r in answers] == ["null", "0.0", "1.5", "nan"]
+        assert Counter(canon(r["g"]) for r in answers) == Counter(["null", "0.0", "1.5", "nan"])
 
     def test_plan_runs_python_once(self, spark, li):
-        """One ``mapInPandas`` and no global sort: a range-partition
-        sampling job over the answers would run every group's Python again."""
+        """One Python evaluation after Spark's own aggregation: no range
+        partitioning, no per-group or per-partition Python, no sort."""
         for out in (
             udaf.group_quantiles(li, ["l_returnflag", "l_linestatus"], "l_quantity", [0.5, 0.1]),
             udaf.group_sketches(li, ["l_returnflag"], "l_quantity"),
         ):
             plan = out._jdf.queryExecution().executedPlan().toString()
-            assert len(re.findall(r"\bMapInPandas\b", plan)) == 1, plan
-            assert "FlatMapGroupsInPandas" not in plan
-            assert not re.search(r"Sort \[[^\]]*\bphi\b", plan), plan
+            assert len(re.findall(r"\bArrowEvalPython\b", plan)) == 1, plan
+            assert "rangepartitioning" not in plan, plan
+            assert not re.search(r"MapInPandas|FlatMapGroupsInPandas|\bSort\b", plan), plan
