@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 def _even_at_least(x: float, lo: int = 2) -> int:
@@ -107,6 +108,19 @@ class CompactorParams:
     def __post_init__(self) -> None:
         # buffer_size validates k and num_sections.
         object.__setattr__(self, "B", buffer_size(self.k, self.num_sections))
+
+
+@lru_cache(maxsize=1024)
+def geometry(k: int, N: int) -> CompactorParams:
+    """The buffer geometry of the epoch with section size ``k`` and bound
+    ``N``: ``num_sections_mergeable(N, k)`` sections of ``k`` items.
+
+    The one place a sketch's geometry is derived: the ``ReqSketch``
+    constructor, its growth step and the decoder's capacity checks all
+    call it.  Cached, and safe to share because ``CompactorParams`` is
+    frozen: a rollup decodes thousands of blobs from the same few epochs.
+    """
+    return CompactorParams(k, num_sections_mergeable(N, k))
 
 
 def _check_eps_delta(eps: float, delta: float) -> None:

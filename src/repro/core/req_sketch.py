@@ -67,7 +67,7 @@ class ReqSketch(LazyRng, estimator.Queries):
         else:
             self.k = int(k)
             self.N = int(N0) if N0 is not None else P.initial_N(self.k)
-        self.params = P.CompactorParams(self.k, P.num_sections_mergeable(self.N, self.k))
+        self.params = P.geometry(self.k, self.N)
         self.levels: List[RelativeCompactor] = [self._new_level()]
         self.n = 0
         # Smallest buffer size ever in force (here or in any merged-in
@@ -155,7 +155,7 @@ class ReqSketch(LazyRng, estimator.Queries):
             lv0 = self.levels[0]
             room = self.params.B - len(lv0)
             if room <= 0:
-                self._compact_cascade()
+                self._compact_cascade(top=0)
                 continue
             # Stop at the item where n first exceeds N, so growth runs at
             # the same fill level however the stream is split into calls.
@@ -166,7 +166,7 @@ class ReqSketch(LazyRng, estimator.Queries):
             if self.n > self.N:
                 self._grow()
         if len(self.levels[0]) >= self.params.B:
-            self._compact_cascade()
+            self._compact_cascade(top=0)
         return self
 
     # ------------------------------------------------------------------- merge
@@ -211,7 +211,7 @@ class ReqSketch(LazyRng, estimator.Queries):
             if vals.size:
                 dst.append(vals)
         # Lines 12-17: one bottom-up scheduled pass.
-        self._compact_cascade()
+        self._compact_cascade(top=len(src.levels) - 1)
         return self
 
     def copy(self) -> "ReqSketch":
@@ -255,8 +255,18 @@ class ReqSketch(LazyRng, estimator.Queries):
         elif self._k_const != other._k_const:
             raise ValueError(f"k_const mismatch: {self._k_const} != {other._k_const}")
 
-    def _compact_cascade(self) -> None:
-        """Bottom-up pass: compact every at-capacity level once."""
+    def _compact_cascade(self, top: Optional[int] = None) -> None:
+        """Bottom-up pass: compact every at-capacity level once.
+
+        ``top`` is the highest level that received items from outside the
+        pass: 0 for ``update``, the source's top level for ``merge``.
+        Every pass leaves each level below B, so a sketch at rest, and
+        the blob it encodes, holds no full level.  Above ``top`` a level
+        can then be full only if the level under it was just compacted,
+        and the pass stops at the first level at or above ``top`` that is
+        not full.  ``top=None`` walks every level, as growth needs: it
+        changes B and special-compacts into every level at once.
+        """
         h = 0
         while h < len(self.levels):
             lv = self.levels[h]
@@ -265,6 +275,8 @@ class ReqSketch(LazyRng, estimator.Queries):
                 if h + 1 == len(self.levels):
                     self.levels.append(self._new_level())
                 self.levels[h + 1].append(promoted)
+            elif top is not None and h >= top:
+                return
             h += 1
 
     def _special_compact_all(self, rng: np.random.Generator) -> None:
@@ -285,9 +297,7 @@ class ReqSketch(LazyRng, estimator.Queries):
         self.N = P.next_N(self.N)
         if self._khat is not None:
             self.k = P.k_of_N(self._khat, self.N, const=self._k_const)
-        self.params = P.CompactorParams(
-            self.k, P.num_sections_mergeable(self.N, self.k)
-        )
+        self.params = P.geometry(self.k, self.N)
         for lv in self.levels:
             lv.params = self.params
         # The top level received promotions and new B may still be

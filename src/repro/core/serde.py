@@ -34,14 +34,18 @@ The sort is stable, so a decoded sketch re-encodes byte for byte.
 Versions 1 and 2, retired formats, have no reader.  ``from_bytes``
 checks the whole blob before it builds a sketch and raises
 ``ValueError`` on any malformed input, a level out of order included.
-A decoded sketch's level arrays are read-only views of the blob
-(``RelativeCompactor`` never writes into a level array in place).
+It accepts any bytes-like object and copies only one that is not
+``bytes``: a decoded sketch's level arrays are read-only views of the
+blob (``RelativeCompactor`` never writes into a level array in place),
+so they must not see a caller's later writes.  The capacity checks use
+the epoch geometry the sketch itself is built with (``params.geometry``).
 """
 from __future__ import annotations
 
 import math
 import struct
 from itertools import accumulate
+from operator import lshift
 from typing import Union
 
 import numpy as np
@@ -78,26 +82,30 @@ def to_bytes(sketch: ReqSketch) -> bytes:
     return b"".join([head, *table, *(v.astype(_ITEM, copy=False).tobytes() for v in items)])
 
 
-def from_bytes(blob: Union[bytes, bytearray]) -> ReqSketch:
+def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
     """Validate a blob and rebuild its sketch.  Builds no generator: the
     PCG64 fields are restored at the sketch's first draw."""
-    blob = bytes(blob)
+    if type(blob) is not bytes:
+        blob = bytes(blob)
+    size = len(blob)
     if not blob.startswith(_MAGIC):
         raise ValueError("not a sketch blob (bad magic)")
-    if len(blob) < _HEAD.size:
-        raise ValueError(f"truncated sketch blob: {len(blob)} bytes")
+    if size < _HEAD.size:
+        raise ValueError(f"truncated sketch blob: {size} bytes")
     (_, version, sched, k, khat, k_const, N_lo, N_hi, n, min_B, L,
      s_lo, s_hi, i_lo, i_hi, has_uint32, uinteger) = _HEAD.unpack_from(blob)
     if version != _VERSION:
         raise ValueError(f"unsupported sketch format version {version}")
     table_end = _HEAD.size + L * _LEVEL.size
-    if len(blob) < table_end:
-        raise ValueError(f"truncated sketch blob: {len(blob)} bytes, table ends at {table_end}")
-    levels = [_LEVEL.unpack_from(blob, _HEAD.size + h * _LEVEL.size) for h in range(L)]
-    total = sum(count for _, count in levels)
-    if len(blob) != table_end + total * _ITEM.itemsize:
+    if size < table_end:
+        raise ValueError(f"truncated sketch blob: {size} bytes, table ends at {table_end}")
+    levels = list(_LEVEL.iter_unpack(memoryview(blob)[_HEAD.size : table_end]))
+    counts = [count for _, count in levels]
+    ends = list(accumulate(counts))
+    total = ends[-1] if ends else 0
+    if size != table_end + total * _ITEM.itemsize:
         raise ValueError(
-            f"sketch blob holds {len(blob)} bytes, its layout {table_end + total * _ITEM.itemsize}"
+            f"sketch blob holds {size} bytes, its layout {table_end + total * _ITEM.itemsize}"
         )
     if sched >= len(_SCHEDULES):
         raise ValueError(f"unknown schedule byte {sched}")
@@ -119,7 +127,7 @@ def from_bytes(blob: Union[bytes, bytearray]) -> ReqSketch:
             k_N = None
         if k != k_N:
             raise ValueError(f"k = {k} is not k(N) = {k_N}")
-    B = P.buffer_size(k, P.num_sections_mergeable(N, k))
+    B = P.geometry(k, N).B
     if not 0 < min_B <= B:
         raise ValueError(f"need 0 < min_B <= B = {B}, got {min_B}")
     if has_uint32 > 1:
@@ -128,26 +136,32 @@ def from_bytes(blob: Union[bytes, bytearray]) -> ReqSketch:
         raise ValueError("PCG64 increment must be odd")
     if L == 0:
         raise ValueError("a sketch has at least one level")
-    if any(count > B for _, count in levels):
+    if max(counts) > B:
         raise ValueError(f"a level holds more than B = {B} items")
-    if sum(count << h for h, (_, count) in enumerate(levels)) != n:
+    if sum(map(lshift, counts, range(L))) != n:
         raise ValueError(f"level weights do not sum to n = {n}")
     items = np.frombuffer(blob, _ITEM, total, table_end)
-    # count_nonzero, not any(): these run once per blob, and a rollup
-    # decodes thousands of small blobs.
-    if np.count_nonzero(np.isnan(items)):
-        raise ValueError("NaN item in sketch blob")
-    # A descent is allowed only where a level starts.
-    descents = items[1:] < items[:-1]
-    if np.count_nonzero(descents) and not set(accumulate(c for _, c in levels)).issuperset(
-        (np.flatnonzero(descents) + 1).tolist()
-    ):
-        raise ValueError("a level's items are not in non-descending order")
+    # One comparison finds both faults, as a NaN fails every comparison it
+    # is in, and count_nonzero is cheaper than all(): this runs once per
+    # blob, and a rollup decodes thousands of small blobs.  A lone item
+    # is in no comparison.
+    if total > 1:
+        clean = np.count_nonzero(items[1:] >= items[:-1]) == total - 1
+    else:
+        clean = not (total and math.isnan(items[0]))
+    if not clean:
+        if np.count_nonzero(np.isnan(items)):
+            raise ValueError("NaN item in sketch blob")
+        # A descent is allowed only where a level starts.
+        descents = np.flatnonzero(items[1:] < items[:-1]) + 1
+        if not set(ends).issuperset(descents.tolist()):
+            raise ValueError("a level's items are not in non-descending order")
     sk = ReqSketch(k, schedule=_SCHEDULES[sched], khat=khat, k_const=k_const, N0=N)
     sk.n, sk._min_B = n, min_B
-    sk.levels, pos = [], 0
-    for state, count in levels:
-        sk.levels.append(sk._new_level(state, items[pos : pos + count]))
-        pos += count
+    # Level 0 is the constructor's own empty level.
+    sk.levels += [sk._new_level() for _ in range(L - 1)]
+    for lv, (state, count), end in zip(sk.levels, levels, ends):
+        lv.state = state
+        lv.append(items[end - count : end])
     sk._rng_src = (s_lo | s_hi << 64, i_lo | i_hi << 64, has_uint32, uinteger)
     return sk

@@ -11,7 +11,10 @@ call:
 * ``group_quantiles`` — the answers at the sorted fractions, exploded to
   ``(keys..., phi, value)`` rows, so no sketch leaves the executor;
 * ``merge_group_sketches`` rolls a table of group sketches up into one
-  on the driver.
+  on the driver: Spark drops null ``sketch`` rows, the column comes back
+  in one Arrow collect (``toArrow``), and the blobs are decoded and
+  merged left to right.  Its plan has no Python operator, so it pays
+  none of a Python stage's fixed latency.
 
 The key columns never reach Python: Spark groups them and carries them
 through, so keys group and come out exactly as in ``df.groupBy`` (one
@@ -126,8 +129,17 @@ def group_quantiles(
 def merge_group_sketches(sketch_df: DataFrame) -> ReqSketch:
     """Merge every group's sketch into one — mergeability across GROUP BY.
 
-    Demonstrates that per-group summaries can be rolled up to the global
-    summary without touching the raw data (paper's mergeability pitch).
+    Rolls per-group summaries up to the global summary without touching
+    the raw data (paper's mergeability pitch): the ``sketch`` column is
+    collected once through Arrow, in partition order as ``collect()``
+    returns it, and folded left to right (``merge_sequential``).  Rows
+    whose ``sketch`` is null, as an outer join leaves them, are skipped
+    by a filter Spark runs, as SQL aggregates and ``percentile_approx``
+    skip nulls.  Raises ``ValueError`` when no non-null sketch is left.
     """
-    rows = sketch_df.select("sketch").collect()
-    return merge_sequential([serde.from_bytes(r["sketch"]) for r in rows])
+    # A SQL string, not a Column: PySpark 4 records the Python call site
+    # of every Column function, which takes JVM round trips and, on first
+    # use, imports IPython (about 25 MB of driver memory) when it is
+    # installed.
+    blobs = sketch_df.select("sketch").where("sketch IS NOT NULL").toArrow()
+    return merge_sequential([serde.from_bytes(b) for b in blobs.column(0).to_pylist()])

@@ -1,13 +1,17 @@
-"""Partition compaction against the full sort it replaced.
+"""Partition compaction and the early-stopping cascade, each against the
+full version it replaced.
 
 ``RelativeCompactor.compact`` selects the compacted range with
 ``np.partition`` and sorts only that range.  ``_full_sort_compact`` below
 is the compaction as it was before: sort the whole buffer, then split
-it.  Every scenario runs twice, once per compaction, and everything the
-sketch means must agree: the promoted arrays in order, each level's
-sorted items and schedule state, the generator state, the ranks and the
-(canonical) bytes.  Only the in-memory order of a level's kept items may
-differ.
+it.  ``ReqSketch._compact_cascade`` stops at the first level that is not
+full once it is past the levels that received outside items;
+``_full_walk_cascade`` is the pass as it was before, over every level.
+Every scenario runs twice, once as the code stands and once with the
+reference installed, and everything the sketch means must agree: the
+promoted arrays in order, each level's sorted items and schedule state,
+the generator state, n/N/k/min_B, the ranks and the (canonical) bytes.
+Only the in-memory order of a level's kept items may differ.
 """
 import numpy as np
 import pytest
@@ -47,9 +51,23 @@ def _full_sort_compact(self, rng, *, special=False):
     return promoted
 
 
-def _run(monkeypatch, scenario, compact):
-    """Run ``scenario`` with ``compact`` installed; return the sketch and
-    every compaction's (special, promoted items) in order."""
+def _full_walk_cascade(self, top=None):
+    """Reference: the bottom-up pass over every level, whatever ``top``."""
+    h = 0
+    while h < len(self.levels):
+        lv = self.levels[h]
+        if len(lv) >= self.params.B:
+            promoted = lv.compact(self.rng)
+            if h + 1 == len(self.levels):
+                self.levels.append(self._new_level())
+            self.levels[h + 1].append(promoted)
+        h += 1
+
+
+def _run(monkeypatch, scenario, compact=RelativeCompactor.compact, cascade=None):
+    """Run ``scenario`` with ``compact`` (and ``cascade``, if given)
+    installed; return the sketch and every compaction's (special,
+    promoted items) in order."""
     log = []
 
     def recording(self, rng, *, special=False):
@@ -59,13 +77,15 @@ def _run(monkeypatch, scenario, compact):
 
     with monkeypatch.context() as m:
         m.setattr(RelativeCompactor, "compact", recording)
+        if cascade is not None:
+            m.setattr(ReqSketch, "_compact_cascade", cascade)
         sk = scenario()
     return sk, log
 
 
-def _assert_same(monkeypatch, scenario):
-    ref, ref_log = _run(monkeypatch, scenario, _full_sort_compact)
-    got, got_log = _run(monkeypatch, scenario, RelativeCompactor.compact)
+def _assert_same(monkeypatch, scenario, reference):
+    ref, ref_log = _run(monkeypatch, scenario, **reference)
+    got, got_log = _run(monkeypatch, scenario)
     assert len(got_log) == len(ref_log) > 0
     for (g_special, g), (r_special, r) in zip(got_log, ref_log):
         assert g_special == r_special
@@ -104,9 +124,13 @@ SCHEDULES = ["req", "all"]
 @pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("config", CONFIGS)
 class TestSameAsFullSort:
+    REFERENCE = {"compact": _full_sort_compact}
+
     def test_whole_array_update(self, monkeypatch, config, schedule):
         make = CONFIGS[config]
-        _assert_same(monkeypatch, lambda: make(1, schedule).update(_data(60_000, 1)))
+        _assert_same(
+            monkeypatch, lambda: make(1, schedule).update(_data(60_000, 1)), self.REFERENCE
+        )
 
     def test_per_item_update(self, monkeypatch, config, schedule):
         make = CONFIGS[config]
@@ -117,7 +141,7 @@ class TestSameAsFullSort:
                 sk.update(y)
             return sk
 
-        _assert_same(monkeypatch, scenario)
+        _assert_same(monkeypatch, scenario, self.REFERENCE)
 
     def test_batched_update(self, monkeypatch, config, schedule):
         make = CONFIGS[config]
@@ -128,7 +152,7 @@ class TestSameAsFullSort:
                 sk.update(batch)
             return sk
 
-        _assert_same(monkeypatch, scenario)
+        _assert_same(monkeypatch, scenario, self.REFERENCE)
 
     @pytest.mark.parametrize(
         "sizes",
@@ -142,7 +166,7 @@ class TestSameAsFullSort:
             a, b = (make(10 + i, schedule).update(_data(n, 10 + i)) for i, n in enumerate(sizes))
             return a.merge(b)
 
-        log = _assert_same(monkeypatch, scenario)
+        log = _assert_same(monkeypatch, scenario, self.REFERENCE)
         if sizes[1] < sizes[0] >= 100_000:
             assert any(special for special, _ in log)
 
@@ -156,8 +180,8 @@ class TestSameAsFullSort:
                 for i, n in enumerate(sizes)
             ]
 
-        _assert_same(monkeypatch, lambda: merge_balanced(partials()))
-        _assert_same(monkeypatch, lambda: merge_sequential(partials()[::-1]))
+        _assert_same(monkeypatch, lambda: merge_balanced(partials()), self.REFERENCE)
+        _assert_same(monkeypatch, lambda: merge_sequential(partials()[::-1]), self.REFERENCE)
 
     def test_self_merge(self, monkeypatch, config, schedule):
         make = CONFIGS[config]
@@ -166,4 +190,10 @@ class TestSameAsFullSort:
             sk = make(30, schedule).update(_data(20_000, 30))
             return sk.merge(sk)
 
-        _assert_same(monkeypatch, scenario)
+        _assert_same(monkeypatch, scenario, self.REFERENCE)
+
+
+class TestSameAsFullWalk(TestSameAsFullSort):
+    """The same scenarios against the cascade that walks every level."""
+
+    REFERENCE = {"cascade": _full_walk_cascade}

@@ -1,11 +1,19 @@
 """Cost guard for rolling up stored group sketches: decoding a blob
-builds no random generator, and merging a small sketch does not copy it.
-Either regression would roughly double the rollup's driver time without
-changing a single answer, so it is counted here rather than timed."""
+builds no random generator, merging a small sketch does not copy it, and
+``merge_group_sketches`` collects its blobs through Arrow from a plan
+with no Python stage.  Each regression would cost the rollup a large
+share of its time (a Python stage alone costs about a third of a second
+of fixed latency) without changing a single answer, so it is counted or
+checked here rather than timed."""
+import re
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 from repro.core import serde
 from repro.core.req_sketch import ReqSketch
+from repro.spark import udaf
 from repro.spark.aggregate import merge_sequential
 
 
@@ -41,3 +49,29 @@ def test_rollup_builds_one_generator_and_copies_nothing(monkeypatch):
     assert merged.n == total
     assert merged.num_levels > 1  # the accumulator compacted: it drew
     assert counts == {"copy": 0, "default_rng": 1}
+
+
+def test_rollup_collects_through_arrow_with_no_python_stage(spark, monkeypatch, tmp_path):
+    blobs = _group_blobs(count=50)
+    pq.write_table(pa.table({"sketch": pa.array(blobs, pa.binary())}), tmp_path / "part-0.parquet")
+    stored = spark.read.parquet(str(tmp_path))
+    # The concrete class: patching ``pyspark.sql.DataFrame`` would miss
+    # the methods the classic DataFrame overrides.
+    cls = type(stored)
+    collects, plans = [], []
+    to_arrow = cls.toArrow
+
+    def spy(self):
+        plans.append(self._jdf.queryExecution().executedPlan().toString())
+        return to_arrow(self)
+
+    monkeypatch.setattr(cls, "collect", lambda self: collects.append(self))
+    monkeypatch.setattr(cls, "toArrow", spy)
+    merged = udaf.merge_group_sketches(stored)
+    assert merged.n == sum(serde.from_bytes(b).n for b in blobs)
+    assert collects == []
+    (plan,) = plans
+    assert "isnotnull(sketch" in plan, plan
+    # ArrowEvalPython, BatchEvalPython, MapInPandas, MapInArrow and the
+    # grouped pandas operators: any of them starts Python workers.
+    assert not re.search(r"EvalPython|InPandas|InArrow", plan), plan

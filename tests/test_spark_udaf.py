@@ -1,5 +1,6 @@
 """Grouped-sketch (UDAF shape) tests, oracle-checked and compared with a
 per-group ``applyInPandas`` build of the same sketches."""
+import hashlib
 import math
 import re
 from collections import Counter
@@ -7,11 +8,14 @@ from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data as sd
 from repro.core import serde
+from repro.core.req_sketch import ReqSketch
 from repro.oracle import assert_equivalent
 from repro.spark import udaf
 from repro.spark.aggregate import fill_sketch, merge_sequential
@@ -109,6 +113,35 @@ class TestGroupQuantiles:
         assert counts == {"a": 3, "b": 0}
 
 
+# SHA-256 of ``serde.to_bytes(merge_group_sketches(stored))``, the rollup
+# of the ``stored`` fixture's 300 seeded group sketches.  After a deliberate
+# change to the merge or to the wire format, regenerate it from the
+# repository root with
+#   PYTHONPATH=src python -m pytest tests/test_spark_udaf.py -k pinned_digest
+# whose failure message is the new digest, and check that
+# ``test_rollup_is_sequential_merge_of_blobs`` still passes before pinning it.
+ROLLUP_SHA256 = "94d937a4b95c3db925377b6f42f007aa94d414036dced2724ce8e8a5f952bc6b"
+
+
+@pytest.fixture(scope="module")
+def stored(spark, tmp_path_factory):
+    """A stored table of 300 seeded k=8 group sketches in 4 parquet files.
+    Group sizes are geometric with mean 60, so about a third of the groups
+    passed B = 64 and hold more than one level."""
+    rng = np.random.default_rng(12)
+    sketches = [
+        ReqSketch(8, seed=g).update(rng.lognormal(3.0, 1.5, n))
+        for g, n in enumerate(rng.geometric(1 / 60, 300).tolist())
+    ]
+    assert 50 < sum(sk.num_levels > 1 for sk in sketches) < 250
+    blobs = pa.array([serde.to_bytes(sk) for sk in sketches], pa.binary())
+    path = tmp_path_factory.mktemp("stored")
+    for i, part in enumerate(np.array_split(np.arange(len(sketches)), 4)):
+        table = pa.table({"g": part, "sketch": blobs.take(part)})
+        pq.write_table(table, path / f"part-{i}.parquet")
+    return spark.read.parquet(str(path))
+
+
 class TestRollup:
     def test_merge_groups_equals_global(self, spark, li):
         """Rolling up per-group sketches gives a valid global sketch."""
@@ -126,10 +159,14 @@ class TestRollup:
         out = udaf.group_sketches(li, keys, "l_extendedprice", k=16, seed=8).cache()
         merged = udaf.merge_group_sketches(out)
         folded = merge_sequential([serde.from_bytes(r["sketch"]) for r in out.collect()])
-        qs = np.linspace(0, 1e5, 41)
-        assert np.array_equal(merged.ranks(qs), folded.ranks(qs))
-        assert merged.num_retained() == folded.num_retained()
+        assert serde.to_bytes(merged) == serde.to_bytes(folded)
         out.unpersist()
+
+    def test_pinned_digest(self, spark, stored):
+        merged = udaf.merge_group_sketches(stored)
+        assert merged.num_levels > 1
+        got = hashlib.sha256(serde.to_bytes(merged)).hexdigest()
+        assert got == ROLLUP_SHA256, got
 
     def test_empty_rollup_rejected(self, spark, li):
         empty = udaf.group_sketches(
@@ -137,6 +174,22 @@ class TestRollup:
         )
         with pytest.raises(ValueError):
             udaf.merge_group_sketches(empty)
+
+    def test_null_rows_are_skipped(self, spark, stored):
+        """Null sketches, as an outer join leaves them, merge as if absent."""
+        rows = [tuple(r) for r in stored.collect()]
+        holed = [x for r in rows for x in ([r, (-r[0], None)] if r[0] % 40 == 0 else [r])]
+        assert len(holed) > len(rows)
+        schema = "g long, sketch binary"
+        got = udaf.merge_group_sketches(spark.createDataFrame(holed, schema))
+        want = udaf.merge_group_sketches(spark.createDataFrame(rows, schema))
+        assert serde.to_bytes(got) == serde.to_bytes(want)
+        assert hashlib.sha256(serde.to_bytes(got)).hexdigest() == ROLLUP_SHA256
+
+    def test_all_null_rollup_rejected(self, spark):
+        nulls = spark.createDataFrame([(1, None), (2, None)], "g long, sketch binary")
+        with pytest.raises(ValueError):
+            udaf.merge_group_sketches(nulls)
 
 
 class TestGroupSeeds:
