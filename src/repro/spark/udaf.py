@@ -24,6 +24,15 @@ flags) mod 2**64]``, computed by Spark on the grouped keys; the null
 flags keep ``(null, "a")`` apart from ``("a", null)``, which
 ``xxhash64`` alone, skipping nulls, would not.
 
+The plans are built from SQL text (``F.expr``) and plain column names,
+with no ``Column`` method and no ``F.col``.  PySpark 4 records the Python
+call site of each such call: a conf read and a JVM origin set and clear
+per call, and on the first call in a process an ``import IPython`` when
+it is installed (about 25 MB of driver memory).  Built this way, a
+grouped plan takes about 70 py4j round trips instead of 160-230.  A name
+that goes into SQL text is quoted part by part (``_sql_name``), so it
+resolves as ``df.groupBy`` resolves it.
+
 Ordering: a group's rows are adjacent and in ascending ``phi``, but the
 groups come back in no particular order.  Add
 ``orderBy(*group_cols, "phi")`` where a global order is needed.
@@ -36,6 +45,7 @@ are held whole in its ``collect_list`` until its sketch is built.
 """
 from __future__ import annotations
 
+import re
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -49,15 +59,30 @@ from repro.core.req_sketch import ReqSketch
 from repro.spark.aggregate import fill_sketch, merge_sequential
 
 
+# One part of a column name as Spark's attribute-name parser reads it: a
+# backticked run, in which a doubled backtick stands for one, or a run of
+# anything but dots and backticks.
+_PART = r"`(?:[^`]|``)*`|[^.`]+"
+_NAME = re.compile(rf"(?:{_PART})(?:\.(?:{_PART}))*")
+
+
+def _sql_name(name: str) -> str:
+    """``name`` as SQL text that resolves as the column name ``name``
+    does in ``df.groupBy(name)``: the same parts, each backticked."""
+    if not _NAME.fullmatch(name):
+        raise ValueError(f"syntax error in the column name {name!r}")
+    return ".".join(p if p[0] == "`" else f"`{p}`" for p in re.findall(_PART, name))
+
+
 def _group_rows(df: DataFrame, group_cols: List[str], value_col: str) -> DataFrame:
     """One row per group: its keys, its values as one ``array<double>``
     (``_values``) and the hash that seeds its sketch (``_key_hash``).
     The underscores keep them apart from key columns such as ``values``."""
-    nulls = [F.col(c).isNull() for c in group_cols]
-    return (
-        df.groupBy(*group_cols)
-        .agg(F.collect_list(F.col(value_col).cast("double")).alias("_values"))
-        .withColumn("_key_hash", F.xxhash64(*group_cols, *nulls))
+    keys = [_sql_name(c) for c in group_cols]
+    flags = [f"isnull({c})" for c in keys]
+    return df.groupBy(*group_cols).agg(
+        F.expr(f"collect_list(CAST({_sql_name(value_col)} AS DOUBLE)) AS _values"),
+        F.expr(f"xxhash64({', '.join(keys + flags)}) AS _key_hash"),
     )
 
 
@@ -68,11 +93,19 @@ def _sketches(values: pd.Series, key_hash: pd.Series, k: int, seed: int) -> List
 
 
 def _per_group(
-    df: DataFrame, group_cols: List[str], value_col: str, udf: Callable, return_type: str
+    df: DataFrame, group_cols: List[str], value_col: str, k: int, udf: Callable, return_type: str
 ) -> DataFrame:
-    """``group_cols`` and ``_out = udf(_values, _key_hash)`` per group."""
-    out = F.pandas_udf(udf, return_type)("_values", "_key_hash").alias("_out")
-    return _group_rows(df, group_cols, value_col).select(*group_cols, out)
+    """The group rows with ``_values`` replaced by ``udf(_values,
+    _key_hash)``.  Replacing a column adds no name: ``withColumn`` with a
+    new name would replace a key column that held it.
+
+    Raises ``ValueError`` for no key column or a bad ``k`` (the
+    ``ReqSketch`` constructor's) here, before Spark runs anything."""
+    if not group_cols:
+        raise ValueError("group_cols is empty; build_sketch sketches a whole column")
+    ReqSketch(k)
+    out = F.pandas_udf(udf, return_type)("_values", "_key_hash")
+    return _group_rows(df, group_cols, value_col).withColumn("_values", out)
 
 
 def group_sketches(
@@ -94,8 +127,8 @@ def group_sketches(
             }
         )
 
-    out = _per_group(df, group_cols, value_col, build, "sketch binary, n long")
-    return out.select(*group_cols, "_out.sketch", "_out.n")
+    out = _per_group(df, group_cols, value_col, k, build, "sketch binary, n long")
+    return out.select(*group_cols, "_values.sketch", "_values.n")
 
 
 def group_quantiles(
@@ -121,9 +154,11 @@ def group_quantiles(
         sketches = _sketches(values, key_hash, k, seed)
         return pd.Series([sk.quantiles(phis) if sk.n else no_answer for sk in sketches])
 
-    out = _per_group(df, group_cols, value_col, answer, "array<double>")
-    phi = F.array(*[F.lit(float(p)) for p in phis]).alias("phi")
-    return out.select(*group_cols, F.inline(F.arrays_zip(phi, F.col("_out").alias("value"))))
+    out = _per_group(df, group_cols, value_col, k, answer, "array<double>")
+    # ``repr`` round-trips a float; the ``D`` suffix makes it a DOUBLE
+    # literal, where a bare ``0.5`` would be a DECIMAL.
+    phi = ", ".join(f"{p!r}D" for p in phis.tolist())
+    return out.select(*group_cols, F.expr(f"inline(arrays_zip(array({phi}), _values)) AS (phi, value)"))
 
 
 def merge_group_sketches(sketch_df: DataFrame) -> ReqSketch:
@@ -137,9 +172,6 @@ def merge_group_sketches(sketch_df: DataFrame) -> ReqSketch:
     by a filter Spark runs, as SQL aggregates and ``percentile_approx``
     skip nulls.  Raises ``ValueError`` when no non-null sketch is left.
     """
-    # A SQL string, not a Column: PySpark 4 records the Python call site
-    # of every Column function, which takes JVM round trips and, on first
-    # use, imports IPython (about 25 MB of driver memory) when it is
-    # installed.
+    # A SQL string, not a Column method: see the module docstring.
     blobs = sketch_df.select("sketch").where("sketch IS NOT NULL").toArrow()
     return merge_sequential([serde.from_bytes(b) for b in blobs.column(0).to_pylist()])

@@ -95,6 +95,16 @@ class TestMergeShapes:
         with pytest.raises(ValueError):
             agg.build_sketch(df, "x", method="bogus")
 
+    @pytest.mark.parametrize("method", ["map_partitions", "tree_aggregate"])
+    def test_bad_k_rejected_before_a_job(self, spark, stream, method):
+        """The constructor's ``ValueError``, raised on the driver."""
+        _, df = stream
+        tracker = spark.sparkContext.statusTracker()
+        jobs = tracker.getJobIdsForGroup()
+        with pytest.raises(ValueError, match="k must be an even integer >= 2, got 3"):
+            agg.build_sketch(df, "x", k=3, method=method)
+        assert tracker.getJobIdsForGroup() == jobs
+
 
 class TestTreeAggregate:
     def test_weight_and_accuracy(self, spark):

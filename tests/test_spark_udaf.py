@@ -101,6 +101,22 @@ class TestGroupQuantiles:
         with pytest.raises(ValueError):
             udaf.group_quantiles(li, ["l_returnflag"], "l_quantity", [0.5, bad])
 
+    @pytest.mark.parametrize(
+        "build",
+        [udaf.group_sketches, lambda df, keys, col, **kw: udaf.group_quantiles(df, keys, col, [0.5], **kw)],
+        ids=["sketches", "quantiles"],
+    )
+    def test_bad_arguments_rejected_before_spark(self, spark, li, build):
+        """A bad ``k``, no key column or a malformed column name raises
+        while the plan is built, not in a Spark task."""
+        with pytest.raises(ValueError, match="k must be an even integer >= 2, got 3"):
+            build(li, ["l_returnflag"], "l_quantity", k=3)
+        with pytest.raises(ValueError, match="build_sketch"):
+            build(li, [], "l_quantity")
+        for name in ["l_quantity..x", "`l_quantity"]:
+            with pytest.raises(ValueError, match="column name"):
+                build(li, ["l_returnflag"], name)
+
     def test_all_null_group_answers_null(self, spark):
         pdf = pd.DataFrame({"g": ["a", "a", "a", "b", "b"], "x": [1.0, 2.0, 3.0, None, None]})
         df = spark.createDataFrame(pdf, schema="g string, x double")
@@ -254,6 +270,16 @@ def _blob_set(out):
     return {tuple(bytes(v) if isinstance(v, bytearray) else v for v in r) for r in out.collect()}
 
 
+def _pinned(out):
+    """``out``'s column names and its rows in sorted order, each sketch
+    shown as the first 16 hex digits of its SHA-256."""
+    rows = [
+        tuple(hashlib.sha256(v).hexdigest()[:16] if isinstance(v, (bytes, bytearray)) else v for v in r)
+        for r in out.collect()
+    ]
+    return out.columns, sorted(rows, key=repr)
+
+
 class TestKeyRangePass:
     """The one ``groupBy`` pass (the class keeps the name of the key-range
     pass it replaced) answers exactly as a per-group build does, whatever
@@ -320,6 +346,55 @@ class TestKeyRangePass:
         assert [tuple(r) for r in udaf.group_quantiles(df, keys, "x", [0.5]).collect()] == [(1, 2, 3, 0.5, 1.0)]
         assert [r["n"] for r in udaf.group_sketches(df, keys, "x").collect()] == [1]
 
+    def test_names_with_a_space(self, spark):
+        rng = np.random.default_rng(1)
+        keys = rng.choice(["a b", "c"], 300).tolist()
+        rows = list(zip(keys, rng.lognormal(size=300).round(3).tolist()))
+        df = spark.createDataFrame(rows, "`my key` string, `my val` double")
+        assert _pinned(udaf.group_quantiles(df, ["my key"], "my val", [0.1, 0.5], k=4, seed=1)) == (
+            ["my key", "phi", "value"],
+            [("a b", 0.1, 0.246), ("a b", 0.5, 0.8), ("c", 0.1, 0.345), ("c", 0.5, 0.995)],
+        )
+        assert _pinned(udaf.group_sketches(df, ["my key"], "my val", k=4, seed=1)) == (
+            ["my key", "sketch", "n"],
+            [("a b", "3d771392ff57a57e", 146), ("c", "72952cec35bac119", 154)],
+        )
+
+    def test_value_column_as_a_key(self, spark):
+        df = spark.createDataFrame([(i % 3, float(i % 4)) for i in range(40)], "g long, x double")
+        assert _pinned(udaf.group_quantiles(df, ["x"], "x", [0.5], k=4)) == (
+            ["x", "phi", "value"],
+            [(0.0, 0.5, 0.0), (1.0, 0.5, 1.0), (2.0, 0.5, 2.0), (3.0, 0.5, 3.0)],
+        )
+        columns, rows = _pinned(udaf.group_sketches(df, ["g", "x"], "x", k=4))
+        assert columns == ["g", "x", "sketch", "n"]
+        assert rows[:3] == [
+            (0, 0.0, "4fea6a084124620f", 4), (0, 1.0, "337bd80f53d67295", 3), (0, 2.0, "e5163f99ca4c5734", 3)
+        ]
+        assert len(rows) == 12
+
+    def test_repeated_key_names(self, spark):
+        df = spark.createDataFrame([(i % 3, float(i % 4)) for i in range(40)], "g long, x double")
+        assert _pinned(udaf.group_sketches(df, ["g", "g"], "x", k=4, seed=2)) == (
+            ["g", "g", "sketch", "n"],
+            [(0, 0, "f6d6e79c122f8d37", 14), (1, 1, "282edd18d826c32a", 13), (2, 2, "1b13f707a368cadd", 13)],
+        )
+        assert _pinned(udaf.group_quantiles(df, ["g", "g"], "x", [0.5, 1.0], k=4, seed=2)) == (
+            ["g", "g", "phi", "value"],
+            [(0, 0, 0.5, 1.0), (0, 0, 1.0, 3.0), (1, 1, 0.5, 1.0), (1, 1, 1.0, 3.0), (2, 2, 0.5, 2.0), (2, 2, 1.0, 3.0)],
+        )
+
+    def test_backticked_and_dotted_names(self, spark):
+        """A backticked key holding a dot and a struct field as the value,
+        read as ``df.groupBy`` and ``F.col`` read them."""
+        rows = [("k", (float(i),), i % 2) for i in range(10)]
+        df = spark.createDataFrame(rows, "`a.b` string, s struct<`f``g`: double>, `c``d` long")
+        keys = ["`c``d`", "`a.b`"]
+        assert _pinned(udaf.group_quantiles(df, keys, "s.`f``g`", [0.5])) == (
+            ["c`d", "a.b", "phi", "value"], [(0, "k", 0.5, 4.0), (1, "k", 0.5, 5.0)]
+        )
+        assert [(r[0], r["n"]) for r in udaf.group_sketches(df, keys, "s.`f``g`").collect()] == [(0, 5), (1, 5)]
+
     def test_unsorted_fractions_answer_in_phi_order(self, spark, mixed):
         got = udaf.group_quantiles(mixed, ["g"], "x", [0.9, 0.1, 0.5], k=8).collect()
         assert [r["phi"] for r in got[:3]] == [0.1, 0.5, 0.9]
@@ -364,6 +439,22 @@ class TestKeyRangePass:
             answers = udaf.group_quantiles(df, ["g"], "x", [0.5]).collect()
         assert sorted((canon(r["g"]), r["n"]) for r in sketches) == want
         assert Counter(canon(r["g"]) for r in answers) == Counter(["null", "0.0", "1.5", "nan"])
+
+    @pytest.mark.parametrize(
+        "dtype, pinned",
+        [
+            ("double", ["ca7d22139b017d36", "2b8d0a13463f9815", "83efb74c8ecaa3bd", "98eb385511a71396"]),
+            ("float", ["e6511270aa5eb7c8", "14ec42cde052de7b", "83efb74c8ecaa3bd", "6d22591604223fda"]),
+        ],
+    )
+    def test_float_key_seeds_are_pinned(self, spark, dtype, pinned):
+        """A float group is seeded by its grouped key: ``-0.0`` and ``0.0``
+        share the seed of one group, as every NaN does."""
+        keys = [-0.0, 0.0, float("nan"), None, 1.5]
+        df = spark.createDataFrame([(g, 1.5) for _ in range(150) for g in keys], f"g {dtype}, x double")
+        _, rows = _pinned(udaf.group_sketches(df, ["g"], "x", k=4))
+        assert rows == [(0.0, pinned[0], 300), (1.5, pinned[1], 150), (None, pinned[2], 150)] + [rows[-1]]
+        assert math.isnan(rows[-1][0]) and rows[-1][1:] == (pinned[3], 150)
 
     def test_plan_runs_python_once(self, spark, li):
         """One Python evaluation after Spark's own aggregation: no range
