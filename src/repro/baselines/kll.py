@@ -12,7 +12,9 @@ is exactly why KLL's error is a uniform +-eps*n additive band, and its
 paper's Table T3 contrast).
 
 Merging concatenates levels then restores capacities bottom-up, making
-the summary fully mergeable like the original.
+the summary fully mergeable like the original.  A level is stored in the
+REQ sketch's level buffer (``RelativeCompactor``); only the compaction
+rule is KLL's own.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from repro.core import estimator
+from repro.core.compactor import RelativeCompactor
 
 
 class KllSketch(estimator.Queries):
@@ -34,8 +37,7 @@ class KllSketch(estimator.Queries):
         if k < 4:
             raise ValueError(f"k must be >= 4, got {k}")
         self.k = int(k)
-        self.levels: List[List[np.ndarray]] = [[]]  # chunk lists per level
-        self._counts: List[int] = [0]
+        self.levels: List[RelativeCompactor] = [RelativeCompactor()]
         self.n = 0
         self.rng = np.random.default_rng(seed)
 
@@ -47,7 +49,7 @@ class KllSketch(estimator.Queries):
         return max(self.MIN_CAP, int(math.ceil(self.k * self.DECAY ** (height - h))))
 
     def num_retained(self) -> int:
-        return sum(self._counts)
+        return sum(len(lv) for lv in self.levels)
 
     @property
     def num_levels(self) -> int:
@@ -65,50 +67,34 @@ class KllSketch(estimator.Queries):
         self._view = None
         pos, total = 0, arr.size
         while pos < total:
-            room = self.capacity(0) - self._counts[0]
+            room = self.capacity(0) - len(self.levels[0])
             if room <= 0:
                 self._compress()
                 continue
             take = min(room, total - pos)
             self.levels[0].append(arr[pos : pos + take])
-            self._counts[0] += take
             pos += take
             self.n += take
-        if self._counts[0] >= self.capacity(0):
+        if len(self.levels[0]) >= self.capacity(0):
             self._compress()
         return self
 
-    def _level_values(self, h: int) -> np.ndarray:
-        chunks = self.levels[h]
-        if not chunks:
-            return np.empty(0, dtype=np.float64)
-        if len(chunks) > 1:
-            merged = np.concatenate(chunks)
-            self.levels[h] = [merged]
-        return self.levels[h][0]
-
     def _compress(self) -> None:
-        """Bottom-up: compact every level over its capacity."""
+        """Bottom-up: compact every level at its capacity (at least 2)."""
         h = 0
         while h < len(self.levels):
-            if self._counts[h] >= self.capacity(h) and self._counts[h] >= 2:
-                arr = np.sort(self._level_values(h))
+            if len(self.levels[h]) >= self.capacity(h):
+                arr = self.levels[h].sorted_values()
                 offset = int(self.rng.integers(0, 2))
-                promoted = arr[offset::2].copy()
                 # An odd-length buffer keeps one item behind (classic KLL
                 # keeps the unpaired item at level h to conserve weight).
+                keep = arr[:0]
                 if arr.size % 2 == 1:
-                    keep = arr[-1:] if offset == 0 else arr[:1]
-                    promoted = (arr[:-1] if offset == 0 else arr[1:])[offset::2].copy()
-                else:
-                    keep = np.empty(0, dtype=np.float64)
-                self.levels[h] = [keep]
-                self._counts[h] = keep.size
+                    keep, arr = (arr[-1:], arr[:-1]) if offset == 0 else (arr[:1], arr[1:])
+                self.levels[h] = RelativeCompactor(items=keep)
                 if h + 1 == len(self.levels):
-                    self.levels.append([])
-                    self._counts.append(0)
-                self.levels[h + 1].append(promoted)
-                self._counts[h + 1] += promoted.size
+                    self.levels.append(RelativeCompactor())
+                self.levels[h + 1].append(arr[offset::2].copy())
             h += 1
 
     # ------------------------------------------------------------------- merge
@@ -120,13 +106,10 @@ class KllSketch(estimator.Queries):
             raise ValueError(f"k mismatch: {self.k} != {other.k}")
         self._view = None
         while len(self.levels) < len(other.levels):
-            self.levels.append([])
-            self._counts.append(0)
-        for h in range(len(other.levels)):
-            vals = other._level_values(h)
-            if vals.size:
-                self.levels[h].append(vals.copy())
-                self._counts[h] += vals.size
+            self.levels.append(RelativeCompactor())
+        # No code writes into a level array in place, so they are shared.
+        for dst, src in zip(self.levels, other.levels):
+            dst.append(src.values())
         self.n += other.n
         self._compress()
         return self
@@ -135,7 +118,7 @@ class KllSketch(estimator.Queries):
 
     def level_arrays(self) -> List[Tuple[int, np.ndarray]]:
         """(weight, unsorted items) per level, as for ``ReqSketch``."""
-        return [(1 << h, self._level_values(h)) for h in range(len(self.levels))]
+        return [(1 << h, lv.values()) for h, lv in enumerate(self.levels)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KllSketch(k={self.k}, n={self.n}, retained={self.num_retained()})"

@@ -38,7 +38,7 @@ class BernoulliSampler:
     def merge(self, other: "BernoulliSampler") -> "BernoulliSampler":
         if abs(self.p - other.p) > 1e-12:
             raise ValueError(f"rate mismatch: {self.p} != {other.p}")
-        self._kept.extend(a.copy() for a in other._kept)
+        self._kept.append(other.sample())
         self.n += other.n
         return self
 

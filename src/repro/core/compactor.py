@@ -1,35 +1,33 @@
-"""The relative-compactor buffer (paper Algorithm 1 + Algorithm 4 pieces).
+"""One level of a sketch: its items and its schedule state C (paper
+Algorithm 1).
 
-A relative-compactor holds up to B = 2 * k * num_sections items.  When
-full, it compacts only its *largest* L items, where L = (z(C)+1) * k is
-chosen by the trailing-ones schedule — the lowest-ranked half of the
-buffer is never compacted, which is what makes the overall sketch's
-error *relative* instead of additive.  A selection (``np.partition``)
-splits the buffer at the compacted range's first slot, and only that
-range is sorted; the kept items stay unsorted.  The compaction outputs
-every other item of the sorted range (even or odd indices with equal
-probability); the output is fed to the next level, where each item
-counts with twice the weight.
+A relative-compactor is a level's buffer plus the state C that the
+trailing-ones schedule reads.  Its geometry is not its own: the section
+size k, the section count and B = 2 * k * num_sections belong to the
+sketch's parameter epoch and change for every level at once when N
+squares (§5, App. C).  So ``ReqSketch`` alone decides when a level
+compacts and from which slot, and passes that slot to ``compact``: a
+scheduled compaction of a full level starts at B - (z(C)+1) * k (B/2
+under the naive ``schedule="all"``), so the lowest-ranked half of the
+buffer is never compacted, which is what makes the sketch's error
+*relative* instead of additive; App. C's special compaction starts at
+B/2.  An over-full level, as a merge leaves it, compacts its items
+beyond slot B as well.
 
-This class is also used by the merge procedure (paper Algorithm 4):
+A compaction selects its range with ``np.partition`` at the range's
+first slot and sorts only that range; the kept items stay unsorted.  It
+promotes every other item of the sorted range (even or odd indices with
+equal probability) to the next level, where each item counts with twice
+the weight.
 
-* a *scheduled* compaction may run on an over-full buffer (> B items);
-  items beyond slot B are then included in the compaction automatically;
-* a *special* compaction (parameter-growth time) compacts everything
-  above the smallest B/2 items regardless of the schedule state.
-
-The naive Θ(ε⁻²·log(ε²n)) baseline from the paper ("protect B/2, always
-compact the entire top half") is this same class with
-``schedule="all"`` — the only behavioural difference is L = B/2 always.
+The KLL baseline keeps its levels in this class too, with its own
+compaction rule (``baselines.kll``).
 """
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
-
-from repro.core.params import CompactorParams
-from repro.core.schedule import sections_to_compact
 
 
 class RelativeCompactor:
@@ -48,36 +46,17 @@ class RelativeCompactor:
     sketches stay independent.
     """
 
-    __slots__ = ("params", "state", "schedule", "_chunks", "_count")
+    __slots__ = ("state", "_chunks", "_count")
 
-    def __init__(
-        self,
-        params: CompactorParams,
-        *,
-        schedule: str = "req",
-        state: int = 0,
-    ) -> None:
-        if schedule not in ("req", "all"):
-            raise ValueError(f"schedule must be 'req' or 'all', got {schedule!r}")
-        self.params = params
+    def __init__(self, state: int = 0, items: Optional[np.ndarray] = None) -> None:
         self.state = int(state)
-        self.schedule = schedule
         self._chunks: List[np.ndarray] = []
         self._count = 0
-
-    # ------------------------------------------------------------------ sizing
+        if items is not None:
+            self.append(items)
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def capacity(self) -> int:
-        return self.params.B
-
-    def special_moves(self) -> bool:
-        """Whether a special compaction would move any item: more than
-        one item sits above the protected half (an even range needs two)."""
-        return self._count > self.params.B // 2 + 1
 
     # ------------------------------------------------------------------ content
 
@@ -111,31 +90,10 @@ class RelativeCompactor:
 
     # ------------------------------------------------------------------ compaction
 
-    def compact(self, rng: np.random.Generator, *, special: bool = False) -> np.ndarray:
-        """Run one compaction; return the items promoted to the next level.
-
-        Scheduled compactions (``special=False``) require a full buffer
-        and compact from slot ``s = B - L`` (0-based) to the end, with
-        L = (z(C)+1)*k under the "req" schedule, or L = B/2 under the
-        "all" schedule.  Special compactions (Algorithm 4, parameter
-        growth) compact from slot B/2 whenever more than B/2 items are
-        buffered.  Both increment the schedule state.
-        """
-        p = self.params
-        if special:
-            if not self.special_moves():
-                return np.empty(0, dtype=np.float64)
-            start = p.B // 2
-        else:
-            if self._count < p.B:
-                raise RuntimeError(
-                    f"scheduled compaction on non-full buffer ({self._count} < {p.B})"
-                )
-            if self.schedule == "all":
-                n_sec = p.num_sections
-            else:
-                n_sec = sections_to_compact(self.state, p.num_sections)
-            start = p.B - n_sec * p.k
+    def compact(self, rng: np.random.Generator, start: int) -> np.ndarray:
+        """Compact the items from slot ``start`` (0-based, in sorted order)
+        to the end; return the ones promoted to the next level.  Keeps
+        the smallest ``start`` items and increments the schedule state."""
         # Force an even compaction range so total weight is conserved
         # exactly (Observation 3's +-1 drift only arises for odd ranges;
         # the paper permits odd ranges, production implementations do
@@ -143,9 +101,6 @@ class RelativeCompactor:
         # protected-prefix guarantee.
         if (self._count - start) % 2 == 1:
             start += 1
-        # start >= B/2 always: n_sec <= num_sections and B = 2*k*num_sections.
-        assert start >= p.B // 2, (start, p.B)
-
         arr = self.sorted_values(start)
         kept, tail = arr[:start], arr[start:]
         offset = int(rng.integers(0, 2))

@@ -28,6 +28,7 @@ protect-half strawman (always compact the whole top half) with the
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from repro.core import estimator, params as P
 from repro.core.compactor import RelativeCompactor
 from repro.core.rng import LazyRng
-from repro.core.schedule import merge_states
+from repro.core.schedule import merge_states, sections_to_compact
 
 
 class ReqSketch(LazyRng, estimator.Queries):
@@ -54,10 +55,18 @@ class ReqSketch(LazyRng, estimator.Queries):
         """An empty sketch with fixed section size ``k``, or adaptive k(N)
         from ``khat`` and ``k_const`` (Eq. (15)) when ``khat`` is given.
 
-        ``seed`` (an int or a ``numpy.random.SeedSequence``) seeds the
-        coin-flip generator, built on first use; assign ``rng`` to install
-        a ready one.  ``N0`` overrides the initial bound on n.
+        ``seed`` (a non-negative int or a ``numpy.random.SeedSequence``)
+        seeds the coin-flip generator, built on first use; assign ``rng``
+        to install a ready one.  ``N0`` (at least 2) overrides the initial
+        bound on n.
         """
+        if schedule not in ("req", "all"):
+            raise ValueError(f"schedule must be 'req' or 'all', got {schedule!r}")
+        # Checked here, as the generator is built only at the first draw.
+        # A type and sign check: building a SeedSequence costs microseconds,
+        # and the decoder runs this constructor once per blob.
+        if not isinstance(seed, np.random.SeedSequence) and operator.index(seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self._khat = khat
         self._k_const = k_const
         self.schedule = schedule
@@ -67,8 +76,10 @@ class ReqSketch(LazyRng, estimator.Queries):
         else:
             self.k = int(k)
             self.N = int(N0) if N0 is not None else P.initial_N(self.k)
+        if self.N < 2:
+            raise ValueError(f"N0 must be >= 2, got {N0}")
         self.params = P.geometry(self.k, self.N)
-        self.levels: List[RelativeCompactor] = [self._new_level()]
+        self.levels: List[RelativeCompactor] = [RelativeCompactor()]
         self.n = 0
         # Smallest buffer size ever in force (here or in any merged-in
         # operand): ranks <= _min_B/2 are deterministically exact.
@@ -203,7 +214,7 @@ class ReqSketch(LazyRng, estimator.Queries):
         self._min_B = min(self._min_B, src._min_B)
         # Lines 8-11: combine buffers and schedule states per level.
         while len(self.levels) < len(src.levels):
-            self.levels.append(self._new_level())
+            self.levels.append(RelativeCompactor())
         for h, src_lv in enumerate(src.levels):
             dst = self.levels[h]
             dst.state = merge_states(dst.state, src_lv.state)
@@ -222,7 +233,7 @@ class ReqSketch(LazyRng, estimator.Queries):
             self.k, schedule=self.schedule, khat=self._khat, k_const=self._k_const, N0=self.N
         )
         cp.n, cp._min_B = self.n, self._min_B
-        cp.levels = [cp._new_level(lv.state, lv.values()) for lv in self.levels]
+        cp.levels = [RelativeCompactor(lv.state, lv.values()) for lv in self.levels]
         cp._rng_src = self._rng_src if self._rng is None else self._rng_state()
         return cp
 
@@ -233,12 +244,6 @@ class ReqSketch(LazyRng, estimator.Queries):
         return [(1 << h, lv.values()) for h, lv in enumerate(self.levels)]
 
     # --------------------------------------------------------------- internals
-
-    def _new_level(self, state: int = 0, items: Optional[np.ndarray] = None) -> RelativeCompactor:
-        lv = RelativeCompactor(self.params, schedule=self.schedule, state=state)
-        if items is not None:
-            lv.append(items)
-        return lv
 
     def _check_mergeable(self, other: "ReqSketch") -> None:
         if not isinstance(other, ReqSketch):
@@ -271,25 +276,40 @@ class ReqSketch(LazyRng, estimator.Queries):
         while h < len(self.levels):
             lv = self.levels[h]
             if len(lv) >= self.params.B:
-                promoted = lv.compact(self.rng)
+                promoted = lv.compact(self.rng, self._scheduled_start(lv.state))
                 if h + 1 == len(self.levels):
-                    self.levels.append(self._new_level())
+                    self.levels.append(RelativeCompactor())
                 self.levels[h + 1].append(promoted)
             elif top is not None and h >= top:
                 return
             h += 1
 
+    def _scheduled_start(self, state: int) -> int:
+        """The slot a full level with schedule state ``state`` = C starts
+        its compaction at: B - L with L = (z(C)+1)*k, or L = B/2 under
+        the "all" schedule."""
+        p = self.params
+        if self.schedule == "all":
+            start = p.B // 2
+        else:
+            start = p.B - sections_to_compact(state, p.num_sections) * p.k
+        # start >= B/2 always: at most num_sections sections, B = 2*k*num_sections.
+        assert start >= p.B // 2, (start, p.B)
+        return start
+
     def _special_compact_all(self, rng: np.random.Generator) -> None:
-        """App.-C special compactions: shrink every non-top level to <= B/2."""
-        for h in range(len(self.levels) - 1):
-            promoted = self.levels[h].compact(rng, special=True)
-            if promoted.size:
-                self.levels[h + 1].append(promoted)
+        """App.-C special compactions: shrink every non-top level to <= B/2.
+        A level with at most B/2 + 1 items is left alone: the even range
+        above B/2 that it could compact is empty."""
+        half = self.params.B // 2
+        for lv, above in zip(self.levels, self.levels[1:]):
+            if len(lv) > half + 1:
+                above.append(lv.compact(rng, half))
 
     def _special_compaction_moves(self) -> bool:
         """Whether ``_special_compact_all`` would change this sketch.  If
         no non-top level moves items, none receives any, so none moves."""
-        return any(lv.special_moves() for lv in self.levels[:-1])
+        return any(len(lv) > self.params.B // 2 + 1 for lv in self.levels[:-1])
 
     def _grow_once(self) -> None:
         """One parameter-epoch step: special compactions, then N <- N^2."""
@@ -298,8 +318,6 @@ class ReqSketch(LazyRng, estimator.Queries):
         if self._khat is not None:
             self.k = P.k_of_N(self._khat, self.N, const=self._k_const)
         self.params = P.geometry(self.k, self.N)
-        for lv in self.levels:
-            lv.params = self.params
         # The top level received promotions and new B may still be
         # exceeded in pathological cases; restore capacity.
         self._compact_cascade()

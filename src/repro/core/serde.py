@@ -51,6 +51,7 @@ from typing import Union
 import numpy as np
 
 from repro.core import params as P
+from repro.core.compactor import RelativeCompactor
 from repro.core.req_sketch import ReqSketch
 
 _MAGIC = b"RQSK"
@@ -158,10 +159,9 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
             raise ValueError("a level's items are not in non-descending order")
     sk = ReqSketch(k, schedule=_SCHEDULES[sched], khat=khat, k_const=k_const, N0=N)
     sk.n, sk._min_B = n, min_B
-    # Level 0 is the constructor's own empty level.
-    sk.levels += [sk._new_level() for _ in range(L - 1)]
-    for lv, (state, count), end in zip(sk.levels, levels, ends):
-        lv.state = state
-        lv.append(items[end - count : end])
+    sk.levels = [
+        RelativeCompactor(state, items[end - count : end])
+        for (state, count), end in zip(levels, ends)
+    ]
     sk._rng_src = (s_lo | s_hi << 64, i_lo | i_hi << 64, has_uint32, uinteger)
     return sk

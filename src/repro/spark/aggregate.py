@@ -57,9 +57,9 @@ def fill_sketch(k: int, entropy: Sequence[int], columns: Iterable[pd.Series]) ->
 def _partial_blobs(df: DataFrame, col: str, k: int, seed: int) -> DataFrame:
     """``sketch binary``: one serialized partial per non-empty partition.
 
-    A bad ``k`` raises the ``ReqSketch`` constructor's ``ValueError``
+    A bad ``k`` or ``seed`` raises the ``ReqSketch`` constructor's error
     here, on the driver, not in a task."""
-    ReqSketch(k)
+    ReqSketch(k, seed=seed)
 
     def build(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         pid = TaskContext.get().partitionId()

@@ -93,17 +93,24 @@ def _sketches(values: pd.Series, key_hash: pd.Series, k: int, seed: int) -> List
 
 
 def _per_group(
-    df: DataFrame, group_cols: List[str], value_col: str, k: int, udf: Callable, return_type: str
+    df: DataFrame,
+    group_cols: List[str],
+    value_col: str,
+    k: int,
+    seed: int,
+    udf: Callable,
+    return_type: str,
 ) -> DataFrame:
     """The group rows with ``_values`` replaced by ``udf(_values,
     _key_hash)``.  Replacing a column adds no name: ``withColumn`` with a
     new name would replace a key column that held it.
 
-    Raises ``ValueError`` for no key column or a bad ``k`` (the
-    ``ReqSketch`` constructor's) here, before Spark runs anything."""
+    Raises ``ValueError`` for no key column, and the ``ReqSketch``
+    constructor's error for a bad ``k`` or ``seed``, here, before Spark
+    runs anything."""
     if not group_cols:
         raise ValueError("group_cols is empty; build_sketch sketches a whole column")
-    ReqSketch(k)
+    ReqSketch(k, seed=seed)
     out = F.pandas_udf(udf, return_type)("_values", "_key_hash")
     return _group_rows(df, group_cols, value_col).withColumn("_values", out)
 
@@ -127,7 +134,7 @@ def group_sketches(
             }
         )
 
-    out = _per_group(df, group_cols, value_col, k, build, "sketch binary, n long")
+    out = _per_group(df, group_cols, value_col, k, seed, build, "sketch binary, n long")
     return out.select(*group_cols, "_values.sketch", "_values.n")
 
 
@@ -154,7 +161,7 @@ def group_quantiles(
         sketches = _sketches(values, key_hash, k, seed)
         return pd.Series([sk.quantiles(phis) if sk.n else no_answer for sk in sketches])
 
-    out = _per_group(df, group_cols, value_col, k, answer, "array<double>")
+    out = _per_group(df, group_cols, value_col, k, seed, answer, "array<double>")
     # ``repr`` round-trips a float; the ``D`` suffix makes it a DOUBLE
     # literal, where a bare ``0.5`` would be a DECIMAL.
     phi = ", ".join(f"{p!r}D" for p in phis.tolist())

@@ -4,14 +4,11 @@ skewed key never fill level 0, and building a generator costs about as
 much as answering such a group, so it is counted here rather than timed.
 Deferring the build must not change a single byte of any sketch."""
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro import synth_data as sd
 from repro.core import serde
 from repro.core.req_sketch import ReqSketch
-from repro.spark import udaf
 from repro.spark.aggregate import fill_sketch
 
 PHIS = [0.0, 0.1, 0.5, 0.9, 1.0]
@@ -29,36 +26,24 @@ def _counting_default_rng(monkeypatch):
     return calls
 
 
-def test_small_groups_build_no_generator(spark, monkeypatch):
-    """Replays ``group_quantiles``'s UDF in this process on the group rows
-    it receives: only the two groups of at least B rows build a generator."""
+def test_small_groups_build_no_generator(monkeypatch):
+    """``fill_sketch``, which builds every group's sketch in the grouped
+    UDFs, builds a group's generator only if the group fills level 0:
+    of 40 groups below B rows, one of B rows and one of 3B, only the last
+    two build one, and answering a group builds none."""
     k = 32
     B = ReqSketch(k).B
     rng = np.random.default_rng(1)
     sizes = list(rng.integers(1, B, 40)) + [B, 3 * B]
-    keys = np.repeat(np.arange(len(sizes)), sizes)
-    pdf = pd.DataFrame({"g": keys, "x": rng.lognormal(size=keys.size)})
-    df = spark.createDataFrame(pdf.sample(frac=1.0, random_state=2))
-
-    udfs = []
-    pandas_udf = F.pandas_udf
-
-    def spy(func, return_type):
-        udfs.append(func)
-        return pandas_udf(func, return_type)
-
-    monkeypatch.setattr(F, "pandas_udf", spy)
-    out = udaf.group_quantiles(df, ["g"], "x", PHIS, k=k)
-    (answer,) = udfs
-    want = {}
-    for r in out.collect():
-        want.setdefault(r["g"], []).append(r["value"])
-    rows = udaf._group_rows(df, ["g"], "x").toPandas()
-
+    groups = [rng.lognormal(size=size) for size in sizes]
     calls = _counting_default_rng(monkeypatch)
-    got = answer(rows["_values"], rows["_key_hash"])
-    assert len(calls) == 2
-    assert dict(zip(rows["g"], map(list, got))) == want
+    built = []
+    for key, values in enumerate(groups):
+        before = len(calls)
+        sk = fill_sketch(k, [0, key], [values])
+        sk.quantiles(PHIS)
+        built.append(len(calls) - before)
+    assert built == [int(size >= B) for size in sizes]
 
 
 def _eager(k, entropy, values):

@@ -1,4 +1,6 @@
 """Tests for the KLL additive-error baseline."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,52 @@ class TestMerge:
             acc.merge(KllSketch(k=60, seed=20 + i).update(stream_array("uniform", 5000, seed=30 + i)))
         assert acc.num_retained() <= 8 * 60
 
+
+
+def _pinned_run(seed):
+    """Split updates, a merge, a self-merge and single-item updates, all
+    from fixed seeds, over lognormal items with heavy ties."""
+    data = stream_array("lognormal", 12_000, seed=seed)
+    data[::3] = np.floor(data[::3])
+    a = KllSketch(k=24, seed=seed)
+    for batch in np.array_split(data[:8_000], 11):
+        a.update(batch)
+    a.merge(KllSketch(k=24, seed=seed + 100).update(data[8_000:11_000]))
+    a.merge(a)
+    for y in data[11_000:11_200]:
+        a.update(y)
+    return a, data
+
+
+def _pin_of(seed):
+    """(n, level sizes, digest of each level's sorted items, ranks at nine
+    fixed quantiles of the input)."""
+    sk, data = _pinned_run(seed)
+    levels = sk.level_arrays()
+    digest = hashlib.sha256()
+    for _, items in levels:
+        digest.update(np.sort(items).tobytes())
+    grid = np.quantile(data, np.linspace(0.0, 1.0, 9))
+    return sk.n, [a.size for _, a in levels], digest.hexdigest()[:24], sk.ranks(grid).tolist()
+
+
+# seed -> _pin_of(seed).  Recorded before KLL's levels moved onto the shared
+# level buffer; a refactor must leave every entry unchanged.  After a
+# deliberate change to KLL's algorithm, regenerate from the repository root:
+#   PYTHONPATH=src python -c "from tests.test_kll import _pin_of
+#   for s in range(4): print(s, _pin_of(s))"
+KLL_PIN = {
+    0: (22200, [0, 0, 0, 1, 1, 3, 3, 7, 2, 0, 20], "b5e815d64dabded4b08d0d41",
+        [1024, 5440, 7488, 9704, 10744, 13848, 16152, 18328, 22200]),
+    1: (22200, [0, 0, 0, 1, 1, 3, 3, 7, 2, 0, 20], "75f6b8fde4083fcf9940dc05",
+        [512, 4944, 7128, 9208, 11288, 13464, 15512, 17688, 22200]),
+    2: (22200, [0, 0, 0, 1, 1, 3, 3, 7, 2, 0, 20], "8d75b3fac0659005afa7b5eb",
+        [576, 5056, 6216, 8296, 11368, 13416, 15720, 17768, 22200]),
+    3: (22200, [0, 0, 0, 1, 1, 3, 3, 7, 2, 0, 20], "09ff2d0d9d23b35ccb7fff0f",
+        [128, 3936, 5992, 7272, 10472, 12696, 13720, 16920, 22200]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(KLL_PIN))
+def test_fixed_seed_pin(seed):
+    assert _pin_of(seed) == KLL_PIN[seed]

@@ -8,9 +8,10 @@ it.  ``ReqSketch._compact_cascade`` stops at the first level that is not
 full once it is past the levels that received outside items;
 ``_full_walk_cascade`` is the pass as it was before, over every level.
 Every scenario runs twice, once as the code stands and once with the
-reference installed, and everything the sketch means must agree: the
-promoted arrays in order, each level's sorted items and schedule state,
-the generator state, n/N/k/min_B, the ranks and the (canonical) bytes.
+reference installed, and everything the sketch means must agree: each
+compaction's kind, start slot and promoted array in order, each level's
+sorted items and schedule state, the generator state, n/N/k/min_B, the
+ranks and the (canonical) bytes.
 Only the in-memory order of a level's kept items may differ.
 """
 import numpy as np
@@ -19,27 +20,13 @@ import pytest
 from repro.core import serde
 from repro.core.compactor import RelativeCompactor
 from repro.core.req_sketch import ReqSketch
-from repro.core.schedule import sections_to_compact
 from repro.spark.aggregate import merge_balanced, merge_sequential
 from repro.synth_data import stream_array
 
 
-def _full_sort_compact(self, rng, *, special=False):
+def _full_sort_compact(self, rng, start):
     """Reference: the whole buffer sorted, then split at ``start``."""
-    p = self.params
-    if special:
-        if not self.special_moves():
-            return np.empty(0, dtype=np.float64)
-        start = p.B // 2
-    else:
-        if self._count < p.B:
-            raise RuntimeError("scheduled compaction on non-full buffer")
-        if self.schedule == "all":
-            n_sec = p.num_sections
-        else:
-            n_sec = sections_to_compact(self.state, p.num_sections)
-        start = p.B - n_sec * p.k
-    if (self._count - start) % 2 == 1:
+    if (len(self) - start) % 2 == 1:
         start += 1
     arr = np.sort(self.values())
     kept, tail = arr[:start], arr[start:]
@@ -57,26 +44,37 @@ def _full_walk_cascade(self, top=None):
     while h < len(self.levels):
         lv = self.levels[h]
         if len(lv) >= self.params.B:
-            promoted = lv.compact(self.rng)
+            promoted = lv.compact(self.rng, self._scheduled_start(lv.state))
             if h + 1 == len(self.levels):
-                self.levels.append(self._new_level())
+                self.levels.append(RelativeCompactor())
             self.levels[h + 1].append(promoted)
         h += 1
 
 
 def _run(monkeypatch, scenario, compact=RelativeCompactor.compact, cascade=None):
     """Run ``scenario`` with ``compact`` (and ``cascade``, if given)
-    installed; return the sketch and every compaction's (special,
-    promoted items) in order."""
-    log = []
+    installed; return the sketch and, in order, every compaction's (kind,
+    start slot, promoted items), kind "scheduled" or "special", with a
+    ("special pass", None, no items) entry where each App.-C pass begins."""
+    log, kind = [], ["scheduled"]
+    special_compact_all = ReqSketch._special_compact_all
 
-    def recording(self, rng, *, special=False):
-        out = compact(self, rng, special=special)
-        log.append((special, out.copy()))
+    def recording(self, rng, start):
+        out = compact(self, rng, start)
+        log.append((kind[0], start, out.copy()))
         return out
+
+    def flagging(self, rng):
+        log.append(("special pass", None, np.empty(0)))
+        kind[0] = "special"
+        try:
+            special_compact_all(self, rng)
+        finally:
+            kind[0] = "scheduled"
 
     with monkeypatch.context() as m:
         m.setattr(RelativeCompactor, "compact", recording)
+        m.setattr(ReqSketch, "_special_compact_all", flagging)
         if cascade is not None:
             m.setattr(ReqSketch, "_compact_cascade", cascade)
         sk = scenario()
@@ -87,8 +85,8 @@ def _assert_same(monkeypatch, scenario, reference):
     ref, ref_log = _run(monkeypatch, scenario, **reference)
     got, got_log = _run(monkeypatch, scenario)
     assert len(got_log) == len(ref_log) > 0
-    for (g_special, g), (r_special, r) in zip(got_log, ref_log):
-        assert g_special == r_special
+    for (g_kind, g_start, g), (r_kind, r_start, r) in zip(got_log, ref_log):
+        assert (g_kind, g_start) == (r_kind, r_start)
         assert np.array_equal(g, r)
     assert got.num_levels == ref.num_levels
     for g, r in zip(got.levels, ref.levels):
@@ -168,7 +166,11 @@ class TestSameAsFullSort:
 
         log = _assert_same(monkeypatch, scenario, self.REFERENCE)
         if sizes[1] < sizes[0] >= 100_000:
-            assert any(special for special, _ in log)
+            kinds = {kind for kind, _, _ in log}
+            assert "special pass" in kinds
+            # Under "all" with k=64 no growth step finds a non-top level
+            # above B/2 + 1 items, so no special compaction moves any.
+            assert "special" in kinds or (config, schedule) == ("k64", "all")
 
     def test_merge_trees_of_decoded_partials(self, monkeypatch, config, schedule):
         make = CONFIGS[config]

@@ -1,14 +1,14 @@
-"""The Spark layer and the experiments use sketches through their public
-API only: ``ReqSketch`` alone sets a sketch's parameters and generator
-source, so no other module reads or writes an underscore attribute of an
-object other than ``self``."""
+"""The Spark layer, the experiments and the baselines use sketches
+through their public API only: ``ReqSketch`` alone sets a sketch's
+parameters and generator source, so no other module reads or writes an
+underscore attribute of an object other than ``self``."""
 import ast
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-FILES = sorted((SRC / "spark").rglob("*.py")) + sorted((SRC / "experiments").rglob("*.py"))
+FILES = [p for d in ("spark", "experiments", "baselines") for p in sorted((SRC / d).rglob("*.py"))]
 
 
 def private_accesses(source: str):
@@ -30,6 +30,7 @@ def private_accesses(source: str):
 def test_files_found():
     assert SRC / "spark" / "aggregate.py" in FILES
     assert SRC / "experiments" / "__main__.py" in FILES
+    assert SRC / "baselines" / "kll.py" in FILES
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactRanks, relative_errors
-from repro.core import params as P
+from repro.core import params as P, serde
 from repro.core.req_sketch import ReqSketch
 from repro.synth_data import stream_array
 
@@ -43,6 +43,32 @@ class TestBasics:
         sk.update(np.arange(4))
         sk.update(7)
         assert sk.n == 8
+
+    @pytest.mark.parametrize("N0", [1, 0, -4])
+    def test_N0_below_2_rejected(self, N0):
+        """Rejected up front: such a sketch encoded a blob the decoder
+        refuses, and its growth step raised after counting the items."""
+        with pytest.raises(ValueError, match="N0 must be >= 2"):
+            ReqSketch(8, N0=N0)
+
+    def test_N0_of_2_round_trips_and_grows(self):
+        sk = ReqSketch(8, N0=2)
+        assert serde.from_bytes(serde.to_bytes(sk)).N == 2
+        sk.update([1.0, 2.0, 3.0])
+        assert sk.n == 3 and sk.N == 4 and sk.ranks([2.0]).tolist() == [2]
+        assert serde.from_bytes(serde.to_bytes(sk)).N == 4
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("1", TypeError)])
+    def test_bad_seed_rejected_at_construction(self, seed, error):
+        """The generator is built at the first compaction, so a bad seed
+        would otherwise fail there, mid-update, with level 0 full."""
+        with pytest.raises(error):
+            ReqSketch(8, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2 ** 70, np.random.SeedSequence(7)])
+    def test_good_seeds_accepted(self, seed):
+        sk = ReqSketch(8, seed=seed).update(np.arange(1000.0))
+        assert sk.n == 1000 and sk.num_levels > 1
 
     def test_repr_mentions_key_fields(self):
         r = repr(ReqSketch(k=8).update(np.arange(10.0)))

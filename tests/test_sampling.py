@@ -46,7 +46,21 @@ class TestBernoulli:
     def test_merge(self):
         a = BernoulliSampler(0.1, seed=4).update(np.arange(1000.0))
         b = BernoulliSampler(0.1, seed=5).update(np.arange(1000.0, 2000.0))
+        kept = np.concatenate([a.sample(), b.sample()])
         a.merge(b)
         assert a.n == 2000
+        assert np.array_equal(a.sample(), kept)
         with pytest.raises(ValueError):
             a.merge(BernoulliSampler(0.2))
+
+    def test_merge_keeps_source_and_self_merge(self):
+        a = BernoulliSampler(0.5, seed=6).update(np.arange(100.0))
+        b = BernoulliSampler(0.5, seed=7)
+        for chunk in np.array_split(np.arange(100.0, 200.0), 3):
+            b.update(chunk)
+        b_items = b.sample().copy()
+        a.merge(b).merge(b)
+        assert np.array_equal(b.sample(), b_items) and b.n == 100
+        doubled = np.concatenate([a.sample(), a.sample()])
+        a.merge(a)
+        assert a.n == 600 and np.array_equal(a.sample(), doubled)

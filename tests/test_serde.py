@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.kll import KllSketch
 from repro.core import serde
+from repro.core.compactor import RelativeCompactor
 from repro.core.req_sketch import ReqSketch
 from repro.spark.aggregate import fill_sketch
 from repro.synth_data import stream_array
@@ -402,7 +403,7 @@ class TestEncoder:
     def test_levels_written_sorted_whatever_their_order_in_memory(self):
         items = _items(60)
         a, b = ReqSketch(4, seed=7).update(items), ReqSketch(4, seed=7).update(items)
-        b.levels = [b._new_level(lv.state, lv.values()[::-1]) for lv in b.levels]
+        b.levels = [RelativeCompactor(lv.state, lv.values()[::-1]) for lv in b.levels]
         assert any(np.any(np.diff(lv.values()) < 0) for lv in b.levels)
         assert serde.to_bytes(a) == serde.to_bytes(b) == _golden("fixed_k")[1]
 

@@ -105,6 +105,17 @@ class TestMergeShapes:
             agg.build_sketch(df, "x", k=3, method=method)
         assert tracker.getJobIdsForGroup() == jobs
 
+    @pytest.mark.parametrize("method", ["map_partitions", "tree_aggregate"])
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_bad_seed_rejected_before_a_job(self, spark, stream, method, seed, error):
+        """The constructor's error, raised on the driver, not in a task."""
+        _, df = stream
+        tracker = spark.sparkContext.statusTracker()
+        jobs = tracker.getJobIdsForGroup()
+        with pytest.raises(error):
+            agg.build_sketch(df, "x", seed=seed, method=method)
+        assert tracker.getJobIdsForGroup() == jobs
+
 
 class TestTreeAggregate:
     def test_weight_and_accuracy(self, spark):

@@ -107,8 +107,8 @@ class TestGroupQuantiles:
         ids=["sketches", "quantiles"],
     )
     def test_bad_arguments_rejected_before_spark(self, spark, li, build):
-        """A bad ``k``, no key column or a malformed column name raises
-        while the plan is built, not in a Spark task."""
+        """A bad ``k``, no key column, a malformed column name or a bad
+        ``seed`` raises while the plan is built, not in a Spark task."""
         with pytest.raises(ValueError, match="k must be an even integer >= 2, got 3"):
             build(li, ["l_returnflag"], "l_quantity", k=3)
         with pytest.raises(ValueError, match="build_sketch"):
@@ -116,6 +116,10 @@ class TestGroupQuantiles:
         for name in ["l_quantity..x", "`l_quantity"]:
             with pytest.raises(ValueError, match="column name"):
                 build(li, ["l_returnflag"], name)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            build(li, ["l_returnflag"], "l_quantity", seed=-1)
+        with pytest.raises(TypeError):
+            build(li, ["l_returnflag"], "l_quantity", seed=1.5)
 
     def test_all_null_group_answers_null(self, spark):
         pdf = pd.DataFrame({"g": ["a", "a", "a", "b", "b"], "x": [1.0, 2.0, 3.0, None, None]})
