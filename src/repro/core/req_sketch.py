@@ -194,16 +194,15 @@ class ReqSketch(LazyRng, estimator.Queries):
         self._check_mergeable(other)
         if other.n == 0:
             return self
-        self._view = None
         src = other.copy() if other is self else other
-        # Line 1: combined input size.
-        self.n += src.n
         # Ensure self carries the larger parameter epoch before the
         # standard growth check (the paper swaps operands; we grow self).
         while self.N < src.N:
             self._grow_once()
-        # Lines 2-5: self's bound too small for the combined input.
-        while self.N < self.n:
+        # Lines 2-5 (``_absorb`` repeats them, with nothing left to do):
+        # the special compaction below reads the grown N and draws after
+        # the growth's compactions.
+        while self.N < self.n + src.n:
             self._grow_once()
         # Lines 6-7: source's parameters lag behind - special-compact it
         # once with its OWN (old) geometry before adopting buffers.
@@ -211,19 +210,35 @@ class ReqSketch(LazyRng, estimator.Queries):
             if src is other:
                 src = other.copy()
             src._special_compact_all(self.rng)
-        self._min_B = min(self._min_B, src._min_B)
-        # Lines 8-11: combine buffers and schedule states per level.
-        while len(self.levels) < len(src.levels):
-            self.levels.append(RelativeCompactor())
-        for h, src_lv in enumerate(src.levels):
-            dst = self.levels[h]
-            dst.state = merge_states(dst.state, src_lv.state)
-            vals = src_lv.values()
-            if vals.size:
-                dst.append(vals)
-        # Lines 12-17: one bottom-up scheduled pass.
-        self._compact_cascade(top=len(src.levels) - 1)
+        self._absorb(src.n, src._min_B, [(lv.state, lv.values()) for lv in src.levels])
         return self
+
+    def _absorb(self, n: int, min_B: int, levels: List[Tuple[int, np.ndarray]]) -> None:
+        """Lines 1-5 and 8-17 of Algorithm 4 for an operand of ``n`` items
+        with ``levels`` = (schedule state, items) per level that needs no
+        special compaction: grow until N covers the combined input, count
+        its items, take its ``min_B``, OR each level's state into this
+        sketch's and append its items, then one bottom-up pass.
+
+        ``merge`` calls it once per operand.  ``serde.merge_column`` calls
+        it for one-level operands in state 0 whose N is at most this
+        sketch's, which no special compaction touches: one at a time
+        where an operand grows the sketch, and otherwise once for a run,
+        with the run's level-0 items concatenated and its smallest
+        ``min_B``.  The passes of a run's operands before its last one
+        find level 0 below B and compact nothing, so a run gives the
+        bytes that merging its operands one by one gives."""
+        self._view = None
+        while self.N < self.n + n:
+            self._grow_once()
+        self.n += n
+        self._min_B = min(self._min_B, min_B)
+        while len(self.levels) < len(levels):
+            self.levels.append(RelativeCompactor())
+        for dst, (state, vals) in zip(self.levels, levels):
+            dst.state = merge_states(dst.state, state)
+            dst.append(vals)
+        self._compact_cascade(top=len(levels) - 1)
 
     def copy(self) -> "ReqSketch":
         """Independent copy.  It gets the generator's state, not the

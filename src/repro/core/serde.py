@@ -39,6 +39,18 @@ It accepts any bytes-like object and copies only one that is not
 blob (``RelativeCompactor`` never writes into a level array in place),
 so they must not see a caller's later writes.  The capacity checks use
 the epoch geometry the sketch itself is built with (``params.geometry``).
+
+``from_bytes`` is the decoder of one blob and the reference for the
+column decoder.  ``decode_column`` reads the offsets and data buffers of
+a ``binary`` or ``large_binary`` Arrow array (``toArrow`` returns the
+latter under ``spark.sql.execution.arrow.useLargeVarTypes``), gathers
+every header and level-table row with numpy, runs each of
+``from_bytes``'s checks as an array comparison, and gathers every item
+into one read-only array.  Where a row fails a check it calls
+``from_bytes`` on the first such row, so the ``ValueError`` a column
+raises is the scalar decoder's.  ``merge_column`` folds a decoded column
+left to right without a sketch object per small blob (see there); the
+bytes are those of ``merge_sequential`` over ``from_bytes`` of each blob.
 """
 from __future__ import annotations
 
@@ -46,9 +58,10 @@ import math
 import struct
 from itertools import accumulate
 from operator import lshift
-from typing import Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
+import pyarrow as pa
 
 from repro.core import params as P
 from repro.core.compactor import RelativeCompactor
@@ -121,13 +134,8 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
         khat = None
     elif not (math.isfinite(khat) and khat > 0):
         raise ValueError(f"k-hat must be finite and positive, got {khat}")
-    else:
-        try:
-            k_N = P.k_of_N(khat, N, const=k_const)
-        except OverflowError:  # k-hat * k_const beyond a float
-            k_N = None
-        if k != k_N:
-            raise ValueError(f"k = {k} is not k(N) = {k_N}")
+    elif k != (k_N := _k_of_N(khat, N, k_const)):
+        raise ValueError(f"k = {k} is not k(N) = {k_N}")
     B = P.geometry(k, N).B
     if not 0 < min_B <= B:
         raise ValueError(f"need 0 < min_B <= B = {B}, got {min_B}")
@@ -157,11 +165,258 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
         descents = np.flatnonzero(items[1:] < items[:-1]) + 1
         if not set(ends).issuperset(descents.tolist()):
             raise ValueError("a level's items are not in non-descending order")
+    return _sketch(
+        sched, k, khat, k_const, N, n, min_B,
+        [(state, items[end - count : end]) for (state, count), end in zip(levels, ends)],
+        (s_lo | s_hi << 64, i_lo | i_hi << 64, has_uint32, uinteger),
+    )
+
+
+def _k_of_N(khat: float, N: int, k_const: int) -> Optional[int]:
+    """k(N) of an adaptive-k blob, None where k-hat * k_const is beyond a float."""
+    try:
+        return P.k_of_N(khat, N, const=k_const)
+    except OverflowError:
+        return None
+
+
+def _sketch(sched, k, khat, k_const, N, n, min_B, levels, rng_src) -> ReqSketch:
+    """The sketch of validated header fields and ``(state, items)`` levels."""
     sk = ReqSketch(k, schedule=_SCHEDULES[sched], khat=khat, k_const=k_const, N0=N)
     sk.n, sk._min_B = n, min_B
-    sk.levels = [
-        RelativeCompactor(state, items[end - count : end])
-        for (state, count), end in zip(levels, ends)
-    ]
-    sk._rng_src = (s_lo | s_hi << 64, i_lo | i_hi << 64, has_uint32, uinteger)
+    sk.levels = [RelativeCompactor(state, items) for state, items in levels]
+    sk._rng_src = rng_src
     return sk
+
+
+# The header and a level-table row as numpy reads them from a column.
+_HEAD_ROW = np.dtype([
+    ("magic", "<u4"), ("version", "u1"), ("sched", "u1"), ("k", "<u4"), ("khat", "<u8"),
+    ("k_const", "<u4"), ("N_lo", "<u8"), ("N_hi", "<u8"), ("n", "<u8"), ("min_B", "<u8"),
+    ("L", "<u4"), ("s_lo", "<u8"), ("s_hi", "<u8"), ("i_lo", "<u8"), ("i_hi", "<u8"),
+    ("has_uint32", "u1"), ("uinteger", "<u4"),
+])
+_LEVEL_ROW = np.dtype([("state", "<u8"), ("count", "<u4")])
+assert _HEAD_ROW.itemsize == _HEAD.size and _LEVEL_ROW.itemsize == _LEVEL.size
+_MAGIC_U32 = int.from_bytes(_MAGIC, "little")
+_NAN_U64 = int.from_bytes(_NAN, "little")
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class SketchColumn:
+    """A validated column of sketch blobs: every row's header fields,
+    level table and items, with all items in one read-only array."""
+
+    def __init__(self, head, level_lo, states, item_lo, items) -> None:
+        self.head = head  # one ``_HEAD_ROW`` record per row
+        self.level_lo = level_lo  # row i's levels are level_lo[i]:level_lo[i + 1]
+        self.states = states  # per level
+        self.item_lo = item_lo  # level j's items are items[item_lo[j]:item_lo[j + 1]]
+        self.items = items
+
+    def __len__(self) -> int:
+        return self.head.size
+
+    def sketch(self, i: int) -> ReqSketch:
+        """Row ``i``'s sketch, as ``from_bytes`` builds it from the row's blob."""
+        h = self.head[i].item()
+        (_, _, sched, k, khat, k_const, N_lo, N_hi, n, min_B, _,
+         s_lo, s_hi, i_lo, i_hi, has_uint32, uinteger) = h
+        khat = None if khat == _NAN_U64 else struct.unpack("<d", struct.pack("<Q", khat))[0]
+        levels = range(self.level_lo[i], self.level_lo[i + 1])
+        return _sketch(
+            sched, k, khat, k_const, N_lo | N_hi << 64, n, min_B,
+            [(int(self.states[j]), self.items[self.item_lo[j] : self.item_lo[j + 1]]) for j in levels],
+            (s_lo | s_hi << 64, i_lo | i_hi << 64, has_uint32, uinteger),
+        )
+
+
+def _buffers(array) -> Tuple[np.ndarray, np.ndarray]:
+    """The data bytes and the int64 row offsets of a non-null ``binary``
+    or ``large_binary`` Arrow array or chunked array."""
+    if not isinstance(array, (pa.Array, pa.ChunkedArray)) or not (
+        pa.types.is_binary(array.type) or pa.types.is_large_binary(array.type)
+    ):
+        got = getattr(array, "type", type(array))
+        raise TypeError(f"need a binary Arrow array of sketch blobs, got {got}")
+    if isinstance(array, pa.ChunkedArray):
+        array = array.chunk(0) if array.num_chunks == 1 else array.combine_chunks()
+    if array.null_count:
+        row = int(np.argmax(array.is_null().to_numpy(zero_copy_only=False)))
+        raise ValueError(f"row {row} of the sketch column is null")
+    _, offsets, data = array.buffers()
+    width = np.dtype("<i8" if pa.types.is_large_binary(array.type) else "<i4")
+    offsets = np.frombuffer(offsets, width, len(array) + 1, array.offset * width.itemsize)
+    data = np.frombuffer(data, np.uint8) if data is not None else np.empty(0, np.uint8)
+    return data, offsets.astype(np.int64)
+
+
+def _gather(data: np.ndarray, at: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """One ``dtype`` record read at each byte offset ``at`` of ``data``:
+    row o of the strided window view is bytes o .. o + itemsize - 1."""
+    size = dtype.itemsize
+    windows = np.lib.stride_tricks.as_strided(
+        data, (max(data.size - size + 1, 0), size), (1, 1), writeable=False
+    )
+    return windows[at].view(dtype)[:, 0]
+
+
+def _buffer_sizes(k: np.ndarray, N_lo: np.ndarray, N_hi: np.ndarray) -> np.ndarray:
+    """B = ``params.geometry(k, N).B`` per row (every k even and >= 2),
+    computed once per distinct (k, N): a column holds few."""
+    order = np.lexsort((N_hi, N_lo, k))
+    keys = [k[order], N_lo[order], N_hi[order]]
+    new = np.ones(order.size, bool)
+    new[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
+    Bs = [P.geometry(kk, lo | hi << 64).B for kk, lo, hi in zip(*(key[new].tolist() for key in keys))]
+    B = np.empty(order.size, np.uint64)
+    B[order] = np.array(Bs, np.uint64)[np.cumsum(new) - 1]
+    return B
+
+
+def _segment_sums(values: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The sum of ``values[first[i] : first[i] + count[i]]`` for each i, in
+    uint64: exact wherever that sum is below 2**64."""
+    cum = np.concatenate([np.zeros(1, np.uint64), np.cumsum(values, dtype=np.uint64)])
+    return cum[first + count] - cum[first]
+
+
+def decode_column(array) -> SketchColumn:
+    """Validate every blob of a ``binary`` or ``large_binary`` Arrow array
+    (or chunked array) at once and return the column.
+
+    Runs each check of ``from_bytes`` as an array comparison over all rows.
+    Where a row fails one, ``from_bytes`` decodes the first such row, so
+    the ``ValueError`` and its message are the scalar decoder's.  Raises
+    ``TypeError`` for an array that is not binary and ``ValueError`` for a
+    null row.
+    """
+    data, offsets = _buffers(array)
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    ok = np.zeros(sizes.size, bool)
+
+    # Headers: every row long enough to hold one.
+    rows = np.flatnonzero(sizes >= _HEAD.size)
+    head = _gather(data, starts[rows], _HEAD_ROW)
+    k, L = head["k"], head["L"].astype(np.int64)
+    N_lo, N_hi, n = head["N_lo"], head["N_hi"], head["n"]
+    table_end = _HEAD.size + _LEVEL.size * L
+    good = (
+        (head["magic"] == _MAGIC_U32) & (head["version"] == _VERSION)
+        & (table_end <= sizes[rows]) & (head["sched"] < len(_SCHEDULES))
+        & (k >= 2) & (k % 2 == 0) & ((N_hi > 0) | ((N_lo >= 2) & (n <= N_lo)))
+        & (head["has_uint32"] <= 1) & (head["i_lo"] & 1 == 1) & (L >= 1)
+    )
+    khat = head["khat"].view("<f8")
+    fixed = np.isnan(khat)
+    good &= np.where(fixed, head["khat"] == _NAN_U64, np.isfinite(khat) & (khat > 0))
+    for i in np.flatnonzero(good & ~fixed).tolist():
+        N = int(N_lo[i]) | int(N_hi[i]) << 64
+        good[i] = int(k[i]) == _k_of_N(float(khat[i]), N, int(head["k_const"][i]))
+    B = np.zeros(rows.size, np.uint64)
+    B[good] = _buffer_sizes(k[good], N_lo[good], N_hi[good])
+    good &= (head["min_B"] > 0) & (head["min_B"] <= B)
+
+    # Level tables: every row whose table fits and whose header passed.
+    t = np.flatnonzero(good)
+    Lt = L[t]
+    first = np.cumsum(Lt) - Lt
+    owner = np.repeat(np.arange(t.size), Lt)
+    h = np.arange(owner.size) - first[owner]  # level number
+    at = starts[rows[t]][owner] + _HEAD.size + _LEVEL.size * h
+    table = _gather(data, at, _LEVEL_ROW)
+    counts = table["count"].astype(np.uint64)
+    total = _segment_sums(counts, first, Lt).astype(np.int64)
+    rest = sizes[rows[t]] - table_end[t]
+    fit = (rest % _ITEM.itemsize == 0) & (rest // _ITEM.itemsize == total)
+    fit[owner[counts > B[t][owner]]] = False
+    # Weights: count << h sums to n.  A term is below 2**64 where it can
+    # be, and the sum is taken in 32-bit halves, so it is exact.
+    small = (counts == 0) | ((h < 64) & (counts >> np.minimum(64 - h, 63).astype(np.uint64) == 0))
+    fit[owner[~small]] = False
+    terms = np.where(small, counts << np.minimum(h, 63).astype(np.uint64), 0).astype(np.uint64)
+    lo = _segment_sums(terms & _LOW32, first, Lt)
+    hi = _segment_sums(terms >> np.uint64(32), first, Lt) + (lo >> np.uint64(32))
+    fit &= (hi == n[t] >> np.uint64(32)) & ((lo & _LOW32) == n[t] & _LOW32)
+
+    # Items: every row whose layout holds.
+    kept = fit[owner]
+    t, Lt, total, counts = t[fit], Lt[fit], total[fit], counts[kept].astype(np.int64)
+    item_lo = np.concatenate([[0], np.cumsum(counts)])
+    row_lo = np.concatenate([[0], np.cumsum(total)])
+    begin = starts[rows[t]] + table_end[t] - _ITEM.itemsize * row_lo[:-1]
+    at = np.repeat(begin, total) + _ITEM.itemsize * np.arange(row_lo[-1])
+    items = _gather(data, at, _ITEM)
+    # A NaN fails every comparison it is in; a descent is allowed only
+    # where a level starts.
+    starts_level = np.zeros(items.size + 1, bool)
+    starts_level[item_lo] = True
+    descent = np.concatenate([[False], (items[1:] < items[:-1]) & ~starts_level[1:-1]])
+    bad = np.flatnonzero(np.isnan(items) | descent)
+    clean = np.ones(t.size, bool)
+    clean[np.searchsorted(row_lo, bad, side="right") - 1] = False
+    ok[rows[t[clean]]] = True
+
+    if not ok.all():
+        row = int(np.argmin(ok))
+        from_bytes(data[starts[row] : starts[row] + sizes[row]].tobytes())
+        raise RuntimeError(f"row {row} fails the column checks but decodes alone")
+    items.flags.writeable = False
+    level_lo = np.concatenate([[0], np.cumsum(Lt)])
+    return SketchColumn(head, level_lo, table["state"][kept], item_lo, items)
+
+
+def merge_column(array) -> ReqSketch:
+    """Decode a column of sketch blobs (``decode_column``) and merge its
+    rows left to right into the first row's sketch.
+
+    The bytes are those of ``merge_sequential([from_bytes(b) for b in
+    blobs])``.  An operand with one level in state 0 and n > 0, of fixed
+    k with the accumulator's k and schedule (a fixed-k merge reads no
+    other parameter) and an N no larger than its N needs no special
+    compaction, and its merge grows the accumulator if need be and
+    appends its items to level 0 (``ReqSketch._absorb``).  Such operands
+    are merged without a sketch of their own: one at a time where one
+    grows the accumulator, and otherwise a run at once, up to the
+    operand at which level 0 reaches B.  Every other operand goes
+    through ``ReqSketch.merge``.  Raises ``ValueError`` for an empty
+    column.
+    """
+    col = decode_column(array)
+    if not len(col):
+        raise ValueError("no partial sketches to merge (empty input?)")
+    acc = col.sketch(0)
+    head = col.head
+    plain = (
+        (head["L"] == 1) & (col.states[col.level_lo[:-1]] == 0) & (head["n"] > 0)
+        & (head["khat"] == _NAN_U64) & (acc._khat is None) & (head["k"] == acc.k)
+        & (head["sched"] == _SCHEDULES.index(acc.schedule)) & (head["N_hi"] == 0)
+    ).tolist()
+    ns, Ns, min_Bs = head["n"].tolist(), head["N_lo"].tolist(), head["min_B"]
+    item_lo = col.item_lo[col.level_lo].tolist()  # where each row's items start
+
+    def absorb(lo: int, hi: int, count: int) -> None:
+        """Merge rows lo..hi-1, plain operands of ``count`` items in all."""
+        if count:
+            run = col.items[item_lo[lo] : item_lo[hi]]
+            acc._absorb(count, int(min_Bs[lo:hi].min()), [(0, run)])
+
+    lo, count = 1, 0  # the pending run: rows lo..i-1, ``count`` items
+    for i in range(1, len(col)):
+        if not (plain[i] and Ns[i] <= acc.N):
+            absorb(lo, i, count)
+            acc.merge(col.sketch(i))
+        elif acc.n + count + ns[i] > acc.N:  # row i grows the accumulator
+            absorb(lo, i, count)
+            absorb(i, i + 1, ns[i])
+        elif len(acc.levels[0]) + count + ns[i] >= acc.B:
+            absorb(lo, i + 1, count + ns[i])
+        else:
+            count += ns[i]
+            continue
+        lo, count = i + 1, 0
+    absorb(lo, len(col), count)
+    # A level array that is a view of the column's items would keep every
+    # item of the column alive as long as the result.
+    acc.levels = [RelativeCompactor(lv.state, lv.values().copy()) for lv in acc.levels]
+    return acc

@@ -25,6 +25,7 @@ shared RNG).
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
@@ -54,12 +55,22 @@ def fill_sketch(k: int, entropy: Sequence[int], columns: Iterable[pd.Series]) ->
     return sk
 
 
+def check_build(k: int, seed: int) -> None:
+    """Raise on the driver what ``fill_sketch`` would raise in a task for
+    ``k`` and the ``[seed, ...]`` entropy: the ``ReqSketch`` constructor's
+    error for a bad ``k`` or a negative seed, and ``TypeError`` for a seed
+    that is not an int (``SeedSequence([seed, 0])`` takes only
+    non-negative ints, where the constructor also takes a
+    ``SeedSequence``)."""
+    ReqSketch(k, seed=operator.index(seed))
+
+
 def _partial_blobs(df: DataFrame, col: str, k: int, seed: int) -> DataFrame:
     """``sketch binary``: one serialized partial per non-empty partition.
 
-    A bad ``k`` or ``seed`` raises the ``ReqSketch`` constructor's error
-    here, on the driver, not in a task."""
-    ReqSketch(k, seed=seed)
+    A bad ``k`` or ``seed`` raises here, on the driver, not in a task
+    (``check_build``)."""
+    check_build(k, seed)
 
     def build(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         pid = TaskContext.get().partitionId()

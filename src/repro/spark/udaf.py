@@ -12,9 +12,11 @@ call:
   ``(keys..., phi, value)`` rows, so no sketch leaves the executor;
 * ``merge_group_sketches`` rolls a table of group sketches up into one
   on the driver: Spark drops null ``sketch`` rows, the column comes back
-  in one Arrow collect (``toArrow``), and the blobs are decoded and
-  merged left to right.  Its plan has no Python operator, so it pays
-  none of a Python stage's fixed latency.
+  in one Arrow collect (``toArrow``), and ``serde.merge_column``
+  validates every blob in one vectorized pass over the Arrow buffers
+  and folds them left to right, appending each run of small
+  never-compacted sketches to level 0 at once.  Its plan has no Python
+  operator, so it pays none of a Python stage's fixed latency.
 
 The key columns never reach Python: Spark groups them and carries them
 through, so keys group and come out exactly as in ``df.groupBy`` (one
@@ -56,7 +58,7 @@ from pyspark.sql import functions as F
 from repro.core import serde
 from repro.core.estimator import check_fractions
 from repro.core.req_sketch import ReqSketch
-from repro.spark.aggregate import fill_sketch, merge_sequential
+from repro.spark.aggregate import check_build, fill_sketch
 
 
 # One part of a column name as Spark's attribute-name parser reads it: a
@@ -105,12 +107,11 @@ def _per_group(
     _key_hash)``.  Replacing a column adds no name: ``withColumn`` with a
     new name would replace a key column that held it.
 
-    Raises ``ValueError`` for no key column, and the ``ReqSketch``
-    constructor's error for a bad ``k`` or ``seed``, here, before Spark
-    runs anything."""
+    Raises ``ValueError`` for no key column, and ``check_build``'s error
+    for a bad ``k`` or ``seed``, here, before Spark runs anything."""
     if not group_cols:
         raise ValueError("group_cols is empty; build_sketch sketches a whole column")
-    ReqSketch(k, seed=seed)
+    check_build(k, seed)
     out = F.pandas_udf(udf, return_type)("_values", "_key_hash")
     return _group_rows(df, group_cols, value_col).withColumn("_values", out)
 
@@ -163,9 +164,11 @@ def group_quantiles(
 
     out = _per_group(df, group_cols, value_col, k, seed, answer, "array<double>")
     # ``repr`` round-trips a float; the ``D`` suffix makes it a DOUBLE
-    # literal, where a bare ``0.5`` would be a DECIMAL.
-    phi = ", ".join(f"{p!r}D" for p in phis.tolist())
-    return out.select(*group_cols, F.expr(f"inline(arrays_zip(array({phi}), _values)) AS (phi, value)"))
+    # literal, where a bare ``0.5`` would be a DECIMAL.  The cast types
+    # the array when ``phis`` is empty, as ``array()`` alone has no
+    # element type.
+    phi = f"CAST(array({', '.join(f'{p!r}D' for p in phis.tolist())}) AS ARRAY<DOUBLE>)"
+    return out.select(*group_cols, F.expr(f"inline(arrays_zip({phi}, _values)) AS (phi, value)"))
 
 
 def merge_group_sketches(sketch_df: DataFrame) -> ReqSketch:
@@ -174,11 +177,14 @@ def merge_group_sketches(sketch_df: DataFrame) -> ReqSketch:
     Rolls per-group summaries up to the global summary without touching
     the raw data (paper's mergeability pitch): the ``sketch`` column is
     collected once through Arrow, in partition order as ``collect()``
-    returns it, and folded left to right (``merge_sequential``).  Rows
-    whose ``sketch`` is null, as an outer join leaves them, are skipped
-    by a filter Spark runs, as SQL aggregates and ``percentile_approx``
-    skip nulls.  Raises ``ValueError`` when no non-null sketch is left.
+    returns it, decoded as one column and folded left to right
+    (``serde.merge_column``), byte for byte as ``merge_sequential`` of
+    the decoded blobs.  Rows whose ``sketch`` is null, as an outer join
+    leaves them, are skipped by a filter Spark runs, as SQL aggregates
+    and ``percentile_approx`` skip nulls.  Raises ``ValueError`` for a
+    malformed blob (``from_bytes``'s error) and when no non-null sketch
+    is left.
     """
     # A SQL string, not a Column method: see the module docstring.
     blobs = sketch_df.select("sketch").where("sketch IS NOT NULL").toArrow()
-    return merge_sequential([serde.from_bytes(b) for b in blobs.column(0).to_pylist()])
+    return serde.merge_column(blobs.column(0))

@@ -1,10 +1,12 @@
 """Cost guard for rolling up stored group sketches: decoding a blob
-builds no random generator, merging a small sketch does not copy it, and
-``merge_group_sketches`` collects its blobs through Arrow from a plan
-with no Python stage.  Each regression would cost the rollup a large
-share of its time (a Python stage alone costs about a third of a second
-of fixed latency) without changing a single answer, so it is counted or
-checked here rather than timed."""
+builds no random generator, merging a small sketch does not copy it, a
+column of never-compacted blobs is folded without a sketch or a merge
+per blob, and ``merge_group_sketches`` collects its blobs through Arrow
+from a plan with no Python stage and folds them as one column.  Each
+regression would cost the rollup a large share of its time (a Python
+stage alone costs about a third of a second of fixed latency) without
+changing a single answer, so it is counted or checked here rather than
+timed."""
 import re
 
 import numpy as np
@@ -29,9 +31,9 @@ def _group_blobs(count=200, k=32, seed=3):
     return blobs
 
 
-def test_rollup_builds_one_generator_and_copies_nothing(monkeypatch):
-    blobs = _group_blobs()
-    counts = {"copy": 0, "default_rng": 0}
+def _count_calls(monkeypatch, points):
+    """Count the calls of each ``(owner, name)`` in ``points``."""
+    counts = {name: 0 for _, name in points}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -40,8 +42,17 @@ def test_rollup_builds_one_generator_and_copies_nothing(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(ReqSketch, "copy", counted("copy", ReqSketch.copy))
-    monkeypatch.setattr(np.random, "default_rng", counted("default_rng", np.random.default_rng))
+    for owner, name in points:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return counts
+
+
+ROLLUP_CALLS = [(ReqSketch, "copy"), (ReqSketch, "merge"), (serde, "from_bytes"), (np.random, "default_rng")]
+
+
+def test_rollup_builds_one_generator_and_copies_nothing(monkeypatch):
+    blobs = _group_blobs()
+    counts = _count_calls(monkeypatch, [(ReqSketch, "copy"), (np.random, "default_rng")])
     sketches = [serde.from_bytes(b) for b in blobs]
     assert counts == {"copy": 0, "default_rng": 0}
     total = sum(sk.n for sk in sketches)
@@ -49,6 +60,19 @@ def test_rollup_builds_one_generator_and_copies_nothing(monkeypatch):
     assert merged.n == total
     assert merged.num_levels > 1  # the accumulator compacted: it drew
     assert counts == {"copy": 0, "default_rng": 1}
+
+
+def test_column_rollup_builds_one_generator_and_merges_nothing(monkeypatch):
+    """The 200 never-compacted blobs are appended to the accumulator's
+    level 0 in runs: no blob is decoded alone or merged."""
+    blobs = _group_blobs()
+    want = serde.to_bytes(merge_sequential([serde.from_bytes(b) for b in blobs]))
+    counts = _count_calls(monkeypatch, ROLLUP_CALLS)
+    merged = serde.merge_column(pa.array(blobs, pa.binary()))
+    assert merged.num_levels > 1  # the accumulator compacted: it drew
+    assert counts.pop("from_bytes") <= 1  # the accumulator's, at most
+    assert counts == {"copy": 0, "merge": 0, "default_rng": 1}
+    assert serde.to_bytes(merged) == want
 
 
 def test_rollup_collects_through_arrow_with_no_python_stage(spark, monkeypatch, tmp_path):
@@ -67,9 +91,12 @@ def test_rollup_collects_through_arrow_with_no_python_stage(spark, monkeypatch, 
 
     monkeypatch.setattr(cls, "collect", lambda self: collects.append(self))
     monkeypatch.setattr(cls, "toArrow", spy)
+    want = sum(serde.from_bytes(b).n for b in blobs)
+    counts = _count_calls(monkeypatch, ROLLUP_CALLS[:3])
     merged = udaf.merge_group_sketches(stored)
-    assert merged.n == sum(serde.from_bytes(b).n for b in blobs)
+    assert merged.n == want
     assert collects == []
+    assert counts["copy"] == counts["merge"] == 0 and counts["from_bytes"] <= 1
     (plan,) = plans
     assert "isnotnull(sketch" in plan, plan
     # ArrowEvalPython, BatchEvalPython, MapInPandas, MapInArrow and the

@@ -6,15 +6,16 @@ import struct
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.kll import KllSketch
-from repro.core import serde
+from repro.core import params, serde
 from repro.core.compactor import RelativeCompactor
 from repro.core.req_sketch import ReqSketch
-from repro.spark.aggregate import fill_sketch
+from repro.spark.aggregate import fill_sketch, merge_sequential
 from repro.synth_data import stream_array
 
 
@@ -307,23 +308,30 @@ CORRUPTIONS = {
 }
 
 
+def _rejected(blob, match=None):
+    """``from_bytes`` rejects ``blob``, and a column of it fails with the
+    same message."""
+    with pytest.raises(ValueError, match=match) as alone:
+        serde.from_bytes(blob)
+    with pytest.raises(ValueError) as column:
+        serde.decode_column(pa.array([blob], pa.binary()))
+    assert str(column.value) == str(alone.value)
+
+
 class TestMalformed:
     """Every malformed blob raises ``ValueError`` before a sketch is built."""
 
     def test_every_truncation_rejected(self):
         blob = _golden("fixed_k")[1]
         for end in range(len(blob)):
-            with pytest.raises(ValueError):
-                serde.from_bytes(blob[:end])
+            _rejected(blob[:end])
 
     def test_trailing_byte_rejected(self):
-        with pytest.raises(ValueError, match="layout"):
-            serde.from_bytes(_golden("fixed_k")[1] + b"\x00")
+        _rejected(_golden("fixed_k")[1] + b"\x00", "layout")
 
     def test_bad_magic_rejected(self):
         blob = _golden("fixed_k")[1]
-        with pytest.raises(ValueError, match="magic"):
-            serde.from_bytes(b"RQSX" + blob[4:])
+        _rejected(b"RQSX" + blob[4:], "magic")
 
     @pytest.mark.parametrize("name", CORRUPTIONS)
     def test_corrupt_field_rejected(self, name):
@@ -332,12 +340,19 @@ class TestMalformed:
         with pytest.raises(ValueError, match=match):
             serde.from_bytes(_patched(blob, *where(sk)))
 
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_corrupt_field_rejected_by_column(self, name):
+        base, where, match = CORRUPTIONS[name]
+        sk, blob = _golden(base)
+        column = pa.array([blob, _patched(blob, *where(sk)), blob], pa.binary())
+        with pytest.raises(ValueError, match=match):
+            serde.decode_column(column)
+
     def test_level_over_capacity_rejected(self):
         sk = ReqSketch(4, N0=1024)
         sk.levels[0].append(np.arange(sk.B + 2.0))
         sk.n = sk.B + 2
-        with pytest.raises(ValueError, match="more than B"):
-            serde.from_bytes(serde.to_bytes(sk))
+        _rejected(serde.to_bytes(sk), "more than B")
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_descent_inside_a_level_rejected(self, level):
@@ -347,8 +362,7 @@ class TestMalformed:
         assert lo < hi
         out = bytearray(blob)
         struct.pack_into("<2d", out, at, hi, lo)
-        with pytest.raises(ValueError, match="non-descending"):
-            serde.from_bytes(bytes(out))
+        _rejected(bytes(out), "non-descending")
 
     def test_descent_across_a_level_boundary_accepted(self):
         sk, blob = _golden("fixed_k")
@@ -369,8 +383,30 @@ class TestMalformed:
 
     def test_no_levels_rejected(self):
         blob = serde.to_bytes(ReqSketch(4))
-        with pytest.raises(ValueError, match="at least one level"):
-            serde.from_bytes(_patched(blob, 54, "<I", 0)[:95])
+        _rejected(_patched(blob, 54, "<I", 0)[:95], "at least one level")
+
+    def test_N_below_2_rejected_for_an_empty_sketch(self):
+        # N0 = 2 makes min_B the B of N = 1 too, so only the N check fails.
+        sk = ReqSketch(4, N0=2)
+        assert sk.B == params.geometry(4, 1).B
+        _rejected(_patched(serde.to_bytes(sk), 22, "<Q", 1), "2 <= N")
+
+    def test_weight_beyond_64_bits_rejected(self):
+        """One item at level 64 weighs 2**64: no u64 n is its sum."""
+        sk = ReqSketch(4, N0=2 ** 100)
+        sk.levels = [RelativeCompactor() for _ in range(64)] + [RelativeCompactor(0, np.ones(1))]
+        _rejected(serde.to_bytes(sk), "sum to n")
+
+    def test_column_raises_for_its_first_bad_row(self):
+        sk, blob = _golden("fixed_k")
+        nan = _patched(blob, _first_item(sk), "<d", math.nan)
+        odd_k = _patched(blob, 6, "<I", 5)
+        zero_k = _patched(blob, 6, "<I", 0)
+        for later in (odd_k, zero_k):
+            with pytest.raises(ValueError, match="NaN"):
+                serde.decode_column(pa.array([blob, nan, later], pa.binary()))
+        with pytest.raises(ValueError, match="even"):
+            serde.decode_column(pa.array([blob, odd_k, nan], pa.binary()))
 
     def test_never_unpickles(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -455,6 +491,215 @@ class TestDecoderFuzz:
         blob = bytes(blob[:end])
         try:
             sk = serde.from_bytes(blob)
-        except ValueError:
-            return
-        assert serde.to_bytes(sk) == blob
+        except ValueError as e:
+            error = str(e)
+        else:
+            error = None
+            assert serde.to_bytes(sk) == blob
+        # The column decoder agrees, message included: the blob alone, and
+        # between two valid blobs, in both Arrow binary types.
+        valid = _fuzz_blob("fixed_k")
+        for rows, at in [([blob], 0), ([valid, blob, valid], 1)]:
+            for kind in (pa.binary(), pa.large_binary()):
+                column = pa.array(rows, kind)
+                if error is None:
+                    assert serde.to_bytes(serde.decode_column(column).sketch(at)) == blob
+                else:
+                    with pytest.raises(ValueError) as info:
+                        serde.decode_column(column)
+                    assert str(info.value) == error
+
+
+def _rollup_bytes(blobs):
+    """The reference rollup: decode each blob, then fold left to right."""
+    return serde.to_bytes(merge_sequential([serde.from_bytes(b) for b in blobs]))
+
+
+class TestColumn:
+    """``decode_column`` reads an Arrow column of blobs as ``from_bytes``
+    reads each one."""
+
+    def _blobs(self):
+        return [serde.to_bytes(ReqSketch(8, seed=i).update(_items(i * 9))) for i in range(12)]
+
+    @pytest.mark.parametrize("kind", [pa.binary(), pa.large_binary()], ids=str)
+    def test_rows_decode_as_from_bytes(self, kind):
+        blobs = [*self._blobs(), *(_golden(name)[1] for name in GOLDEN)]
+        col = serde.decode_column(pa.array(blobs, kind))
+        assert len(col) == len(blobs)
+        for i, blob in enumerate(blobs):
+            sk = col.sketch(i)
+            assert serde.to_bytes(sk) == blob
+            assert not any(lv.values().flags.writeable for lv in sk.levels if len(lv))
+        assert not col.items.flags.writeable
+
+    def test_sliced_and_chunked_arrays(self):
+        blobs = self._blobs()
+        arr = pa.array(blobs, pa.binary())
+        col = serde.decode_column(arr.slice(3, 5))
+        assert [serde.to_bytes(col.sketch(i)) for i in range(len(col))] == blobs[3:8]
+        chunked = pa.chunked_array([arr.slice(0, 4), arr.slice(4, 0), arr.slice(4)])
+        col = serde.decode_column(chunked)
+        assert [serde.to_bytes(col.sketch(i)) for i in range(len(col))] == blobs
+
+    def test_null_row_rejected(self):
+        with pytest.raises(ValueError, match="row 1 of the sketch column is null"):
+            serde.decode_column(pa.array([self._blobs()[0], None], pa.binary()))
+
+    @pytest.mark.parametrize("column", [pa.array([1, 2]), pa.array(["RQSK"]), [b"RQSK"]], ids=["int", "str", "list"])
+    def test_not_binary_rejected(self, column):
+        with pytest.raises(TypeError):
+            serde.decode_column(column)
+
+    def test_empty_column_has_no_rollup(self):
+        with pytest.raises(ValueError) as want:
+            merge_sequential([])
+        for column in [pa.array([], pa.binary()), pa.chunked_array([], pa.large_binary())]:
+            assert len(serde.decode_column(column)) == 0
+            with pytest.raises(ValueError) as got:
+                serde.merge_column(column)
+            assert str(got.value) == str(want.value)
+
+
+def _table_sketch(family, seed, n, N0, k_const):
+    """A sketch of ``n`` lognormal items in one table's ``family``:
+    (schedule, adaptive k?, fixed k)."""
+    schedule, adaptive, k = family
+    if adaptive:
+        sk = ReqSketch(seed=seed, schedule=schedule, khat=1.5, k_const=2, N0=N0)
+    else:
+        sk = ReqSketch(k, seed=seed, schedule=schedule, k_const=k_const, N0=N0)
+    return sk.update(np.random.default_rng(seed).lognormal(3.0, 1.5, n))
+
+
+class TestMergeColumn:
+    """``merge_column`` gives the bytes of ``merge_sequential`` over
+    ``from_bytes`` of each blob, for any table."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        family=st.tuples(st.sampled_from(["req", "all"]), st.booleans(), st.sampled_from([4, 8])),
+        specs=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 24), st.integers(0, 400)),  # n: mostly never compacted
+                st.sampled_from([None, 16, 4096]),  # N0: default, smaller, larger
+                st.sampled_from([32, 4]),  # k_const
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        large=st.booleans(),
+        data=st.data(),
+    )
+    def test_same_bytes_as_sequential_merge(self, family, specs, large, data):
+        blobs = [serde.to_bytes(_table_sketch(family, seed, *spec)) for seed, spec in enumerate(specs)]
+        arr = pa.array(blobs, pa.large_binary() if large else pa.binary())
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(blobs)), max_size=3)))
+        bounds = [0, *cuts, len(blobs)]
+        column = pa.chunked_array([arr.slice(a, b - a) for a, b in zip(bounds, bounds[1:])], arr.type)
+        assert serde.to_bytes(serde.merge_column(column)) == _rollup_bytes(blobs)
+
+    def test_many_small_blobs_growing_N(self):
+        rng = np.random.default_rng(4)
+        blobs = [
+            serde.to_bytes(ReqSketch(4, seed=g).update(rng.lognormal(3.0, 1.5, int(rng.integers(1, 16)))))
+            for g in range(2_000)
+        ]
+        merged = serde.merge_column(pa.array(blobs, pa.binary()))
+        assert merged.N > ReqSketch(4).N ** 2  # grew at least twice
+        assert serde.to_bytes(merged) == _rollup_bytes(blobs)
+
+    def test_result_holds_no_view_of_the_column(self, monkeypatch):
+        """A view would keep every item of the column alive."""
+        decoded, decode = [], serde.decode_column
+        monkeypatch.setattr(serde, "decode_column", lambda array: decoded.append(decode(array)) or decoded[-1])
+        # The first sketch's upper levels receive nothing from the rest.
+        blobs = [serde.to_bytes(ReqSketch(4, seed=s).update(_items(60 if s == 0 else 2))) for s in range(5)]
+        merged = serde.merge_column(pa.array(blobs, pa.binary()))
+        (col,) = decoded
+        assert merged.num_levels > 1
+        assert not any(np.shares_memory(lv.values(), col.items) for lv in merged.levels)
+
+    def test_growth_inside_a_run(self):
+        """An operand that takes n past N grows the accumulator after the
+        run before it is appended: growth special-compacts a level 0 that
+        holds the run's items."""
+        rng = np.random.default_rng(5)
+        acc = ReqSketch(4, N0=4096, seed=1).update(rng.lognormal(size=4_000))
+        blobs = [serde.to_bytes(acc)]
+        blobs += [serde.to_bytes(ReqSketch(4).update(rng.lognormal(size=3))) for _ in range(60)]
+        merged = serde.merge_column(pa.array(blobs, pa.binary()))
+        assert merged.N > acc.N
+        assert serde.to_bytes(merged) == _rollup_bytes(blobs)
+
+    def test_empty_sketch_with_smaller_N0_leaves_min_B(self):
+        """``merge`` ignores an empty operand, so its smaller ``min_B`` must
+        not reach the result, in a run of small operands or not."""
+        small = [serde.to_bytes(ReqSketch(8, seed=s).update(_items(5 + s))) for s in range(4)]
+        empty = serde.to_bytes(ReqSketch(8, N0=16))
+        blobs = [small[0], small[1], empty, small[2], small[3]]
+        merged = serde.merge_column(pa.array(blobs, pa.binary()))
+        assert merged.protected_head == ReqSketch(8).protected_head > serde.from_bytes(empty).protected_head
+        assert serde.to_bytes(merged) == _rollup_bytes(blobs)
+
+    def test_run_takes_its_smallest_min_B(self):
+        """The smallest ``min_B`` of a run need not be its first."""
+        sizes = [ReqSketch(4, N0=N0).B for N0 in (4096, None, 16)]
+        assert sizes[0] > sizes[1] > sizes[2]
+        blobs = [serde.to_bytes(ReqSketch(4, N0=N0).update(_items(9))) for N0 in (4096, None, 16, None)]
+        merged = serde.merge_column(pa.array(blobs, pa.binary()))
+        assert merged.protected_head == sizes[2] // 2
+        assert serde.to_bytes(merged) == _rollup_bytes(blobs)
+
+    def test_one_level_blob_with_a_schedule_state(self):
+        """A valid one-level blob whose level state is not 0 (no encoder
+        writes one) is merged with its state ORed in."""
+        blobs = [serde.to_bytes(ReqSketch(8, seed=s).update(_items(10 + s))) for s in range(3)]
+        blobs[1] = _patched(blobs[1], 95, "<Q", 5)
+        merged = serde.merge_column(pa.array(blobs, pa.binary()))
+        assert merged.levels[0].state == 5
+        assert serde.to_bytes(merged) == _rollup_bytes(blobs)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (lambda: ReqSketch(8), lambda: ReqSketch(8, schedule="all")),
+            (lambda: ReqSketch(8), lambda: ReqSketch(4)),
+            # Adaptive k(N) is 2 here: only the k-hat tells them apart.
+            (lambda: ReqSketch(2), lambda: ReqSketch(khat=1.5, k_const=2)),
+            (lambda: ReqSketch(khat=1.5, k_const=2), lambda: ReqSketch(2)),
+        ],
+        ids=["schedule", "k", "fixed_then_adaptive", "adaptive_then_fixed"],
+    )
+    def test_mismatched_blobs_raise_the_merge_error(self, first, second):
+        sketches = [first().update(_items(10)), second().update(_items(10))]
+        assert all(sk.num_levels == 1 for sk in sketches)
+        blobs = [serde.to_bytes(sk) for sk in sketches]
+        with pytest.raises(ValueError) as want:
+            _rollup_bytes(blobs)
+        with pytest.raises(ValueError) as got:
+            serde.merge_column(pa.array(blobs, pa.binary()))
+        assert str(got.value) == str(want.value)
+
+    def test_operand_with_N_beyond_64_bits(self):
+        """A one-level blob whose N needs the high half grows the
+        accumulator to its epoch."""
+        blobs = [serde.to_bytes(ReqSketch(4, N0=N0).update(_items(5))) for N0 in (None, 2 ** 64 + 5, None)]
+        merged = serde.merge_column(pa.array(blobs, pa.binary()))
+        assert merged.N >= 2 ** 64 + 5
+        assert serde.to_bytes(merged) == _rollup_bytes(blobs)
+
+    def test_two_level_blob_with_level_0_in_state_0(self):
+        """A valid blob whose level 0 is in state 0 above a level 1 (no
+        encoder writes one) is merged level by level."""
+        blobs = [
+            serde.to_bytes(ReqSketch(4, seed=0, N0=4096).update(_items(10))),
+            serde.to_bytes(ReqSketch(4, seed=1).update(_items(50))),
+            serde.to_bytes(ReqSketch(4, seed=2).update(_items(10))),
+        ]
+        acc, sk = serde.from_bytes(blobs[0]), serde.from_bytes(blobs[1])
+        assert sk.num_levels == 2 and sk.levels[0].state > 0 and sk.N <= acc.N
+        blobs[1] = _patched(blobs[1], 95, "<Q", 0)
+        assert serde.from_bytes(blobs[1]).levels[0].state == 0
+        merged = serde.merge_column(pa.array(blobs, pa.binary()))
+        assert serde.to_bytes(merged) == _rollup_bytes(blobs)

@@ -106,9 +106,13 @@ class TestMergeShapes:
         assert tracker.getJobIdsForGroup() == jobs
 
     @pytest.mark.parametrize("method", ["map_partitions", "tree_aggregate"])
-    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, ValueError), (1.5, TypeError), (np.random.SeedSequence(1), TypeError)]
+    )
     def test_bad_seed_rejected_before_a_job(self, spark, stream, method, seed, error):
-        """The constructor's error, raised on the driver, not in a task."""
+        """The error a task would raise, raised on the driver instead.  A
+        ``SeedSequence`` seeds a ``ReqSketch`` but cannot be an entry of
+        the executors' ``[seed, partition_id]`` entropy."""
         _, df = stream
         tracker = spark.sparkContext.statusTracker()
         jobs = tracker.getJobIdsForGroup()

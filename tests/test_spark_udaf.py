@@ -81,6 +81,15 @@ class TestGroupQuantiles:
         out = udaf.group_quantiles(li, ["l_returnflag"], "l_quantity", [0.5], k=16)
         assert out.columns == ["l_returnflag", "phi", "value"]
 
+    @pytest.mark.parametrize("phis", [[0.5], []], ids=["one", "none"])
+    def test_phi_is_double_for_any_fractions(self, spark, li, phis):
+        """``array()`` with no arguments has no element type: the plan
+        casts it, so no fractions give zero rows of the same schema."""
+        out = udaf.group_quantiles(li, ["l_returnflag"], "l_quantity", phis, k=16)
+        assert out.schema["phi"].dataType.simpleString() == "double"
+        assert out.schema["value"].dataType.simpleString() == "double"
+        assert out.count() == len(phis) * li.select("l_returnflag").distinct().count()
+
     def test_answers_are_the_group_sketch_quantiles(self, spark, li):
         """Each answer equals the query of the matching group_sketches row."""
         phis = [0.0, 0.01, 0.5, 0.99, 1.0]
@@ -118,8 +127,9 @@ class TestGroupQuantiles:
                 build(li, ["l_returnflag"], name)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             build(li, ["l_returnflag"], "l_quantity", seed=-1)
-        with pytest.raises(TypeError):
-            build(li, ["l_returnflag"], "l_quantity", seed=1.5)
+        for seed in [1.5, np.random.SeedSequence(1)]:
+            with pytest.raises(TypeError):
+                build(li, ["l_returnflag"], "l_quantity", seed=seed)
 
     def test_all_null_group_answers_null(self, spark):
         pdf = pd.DataFrame({"g": ["a", "a", "a", "b", "b"], "x": [1.0, 2.0, 3.0, None, None]})
@@ -187,6 +197,22 @@ class TestRollup:
         assert merged.num_levels > 1
         got = hashlib.sha256(serde.to_bytes(merged)).hexdigest()
         assert got == ROLLUP_SHA256, got
+
+    def test_large_binary_collect(self, spark, stored):
+        """``toArrow`` returns ``large_binary`` under this conf; the rollup
+        reads its 64-bit offsets."""
+        key = "spark.sql.execution.arrow.useLargeVarTypes"
+        before = spark.conf.get(key, None)
+        spark.conf.set(key, "true")
+        try:
+            assert stored.select("sketch").toArrow().schema.field(0).type == pa.large_binary()
+            merged = udaf.merge_group_sketches(stored)
+        finally:
+            if before is None:
+                spark.conf.unset(key)
+            else:
+                spark.conf.set(key, before)
+        assert hashlib.sha256(serde.to_bytes(merged)).hexdigest() == ROLLUP_SHA256
 
     def test_empty_rollup_rejected(self, spark, li):
         empty = udaf.group_sketches(
