@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core import params as P
 from repro.core.req_sketch import ReqSketch
 
 
@@ -36,7 +37,5 @@ def k_naive_for_error(eps: float, delta: float) -> int:
 
 def naive_for_error(eps: float, delta: float, n: int, *, seed: int = 0) -> ReqSketch:
     """Naive baseline parameterized to target eps relative error on n items."""
-    from repro.core import params as P
-
     k = k_naive_for_error(eps, delta)
-    return ReqSketch(k, seed=seed, schedule="all", N0=max(n, P.initial_N(k)))
+    return naive_protect_sketch(k, seed=seed, N0=max(n, P.initial_N(k)))

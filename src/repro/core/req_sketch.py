@@ -35,12 +35,24 @@ import numpy as np
 
 from repro.core import estimator, params as P
 from repro.core.compactor import RelativeCompactor
-from repro.core.rng import LazyRng
 from repro.core.schedule import merge_states, sections_to_compact
 
+# PCG64 ``(state, inc, has_uint32, uinteger)``.
+Pcg64Fields = Tuple[int, int, int, int]
 
-class ReqSketch(LazyRng, estimator.Queries):
-    """Mergeable relative-error streaming quantiles sketch."""
+
+class ReqSketch(estimator.Queries):
+    """Mergeable relative-error streaming quantiles sketch.
+
+    A generator costs tens of microseconds to build, as much as decoding a
+    small sketch, and a decoded sketch that is only merged, or a group
+    sketch that never compacts, never draws.  So a sketch keeps its
+    generator's source (a seed, or the PCG64 fields a blob carries) and
+    builds it at the first draw; the stream is that of an eagerly built
+    generator.
+    """
+
+    _rng: Optional[np.random.Generator] = None
 
     def __init__(
         self,
@@ -55,18 +67,21 @@ class ReqSketch(LazyRng, estimator.Queries):
         """An empty sketch with fixed section size ``k``, or adaptive k(N)
         from ``khat`` and ``k_const`` (Eq. (15)) when ``khat`` is given.
 
-        ``seed`` (a non-negative int or a ``numpy.random.SeedSequence``)
-        seeds the coin-flip generator, built on first use; assign ``rng``
-        to install a ready one.  ``N0`` (at least 2) overrides the initial
-        bound on n.
+        ``k`` and ``k_const`` are integers (``TypeError`` otherwise): an
+        even ``k`` >= 2 and a positive ``k_const``.  ``seed`` (a
+        non-negative int or a ``numpy.random.SeedSequence``) seeds the
+        coin-flip generator, built on first use; assign ``rng`` to install
+        a ready one.  ``N0`` (at least 2) overrides the initial bound on n.
         """
         if schedule not in ("req", "all"):
             raise ValueError(f"schedule must be 'req' or 'all', got {schedule!r}")
         # Checked here, as the generator is built only at the first draw.
-        # A type and sign check: building a SeedSequence costs microseconds,
-        # and the decoder runs this constructor once per blob.
+        # A type and sign check: building a SeedSequence costs microseconds.
         if not isinstance(seed, np.random.SeedSequence) and operator.index(seed) < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
+        k_const = operator.index(k_const)
+        if k_const <= 0:
+            raise ValueError(f"k_const must be a positive integer, got {k_const}")
         self._khat = khat
         self._k_const = k_const
         self.schedule = schedule
@@ -74,7 +89,7 @@ class ReqSketch(LazyRng, estimator.Queries):
             self.N = int(N0) if N0 is not None else max(P.initial_N(2), math.ceil(8 * khat))
             self.k = P.k_of_N(khat, self.N, const=k_const)
         else:
-            self.k = int(k)
+            self.k = operator.index(k)
             self.N = int(N0) if N0 is not None else P.initial_N(self.k)
         if self.N < 2:
             raise ValueError(f"N0 must be >= 2, got {N0}")
@@ -84,40 +99,26 @@ class ReqSketch(LazyRng, estimator.Queries):
         # Smallest buffer size ever in force (here or in any merged-in
         # operand): ranks <= _min_B/2 are deterministically exact.
         self._min_B = self.params.B
-        # The generator is built on first draw (``LazyRng``).
-        self._rng_src = seed
+        self._rng_src: Union[int, np.random.SeedSequence, Pcg64Fields] = seed
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
-    def from_error_streaming(
-        cls, eps: float, delta: float, n: int, *, seed: int = 0, schedule: str = "req"
-    ) -> "ReqSketch":
+    def from_error_streaming(cls, eps: float, delta: float, n: int, *, seed: int = 0) -> "ReqSketch":
         """Known-(upper bound on)-n parameterization per Eq. (6) / Theorem 13."""
         k = P.k_streaming(eps, delta, n)
-        return cls(k, seed=seed, schedule=schedule, N0=max(n, P.initial_N(k)))
+        return cls(k, seed=seed, N0=max(n, P.initial_N(k)))
 
     @classmethod
     def from_error_mergeable(
-        cls,
-        eps: float,
-        delta: float,
-        *,
-        seed: int = 0,
-        k_const: int = 2 ** 5,
-        schedule: str = "req",
+        cls, eps: float, delta: float, *, seed: int = 0, k_const: int = 2 ** 5
     ) -> "ReqSketch":
         """Unknown-n parameterization per Eqs. (15)/(25); k adapts as N grows.
 
         ``k_const`` defaults to the paper's proof constant 2^5; pass a
         smaller even factor for practical space (DESIGN.md).
         """
-        return cls(
-            seed=seed,
-            schedule=schedule,
-            khat=P.khat_mergeable(eps, delta),
-            k_const=k_const,
-        )
+        return cls(seed=seed, khat=P.khat_mergeable(eps, delta), k_const=k_const)
 
     @classmethod
     def from_error_small_delta(
@@ -174,8 +175,7 @@ class ReqSketch(LazyRng, estimator.Queries):
             lv0.append(arr[pos : pos + take])
             pos += take
             self.n += take
-            if self.n > self.N:
-                self._grow()
+            self._grow_to(self.n)
         if len(self.levels[0]) >= self.params.B:
             self._compact_cascade(top=0)
         return self
@@ -195,15 +195,11 @@ class ReqSketch(LazyRng, estimator.Queries):
         if other.n == 0:
             return self
         src = other.copy() if other is self else other
-        # Ensure self carries the larger parameter epoch before the
-        # standard growth check (the paper swaps operands; we grow self).
-        while self.N < src.N:
-            self._grow_once()
-        # Lines 2-5 (``_absorb`` repeats them, with nothing left to do):
-        # the special compaction below reads the grown N and draws after
-        # the growth's compactions.
-        while self.N < self.n + src.n:
-            self._grow_once()
+        # Lines 2-5, with self carrying the larger parameter epoch (the
+        # paper swaps operands; we grow self).  ``_absorb`` repeats them,
+        # with nothing left to do: the special compaction below reads the
+        # grown N and draws after the growth's compactions.
+        self._grow_to(max(src.N, self.n + src.n))
         # Lines 6-7: source's parameters lag behind - special-compact it
         # once with its OWN (old) geometry before adopting buffers.
         if src.N < self.N and src._special_compaction_moves():
@@ -229,8 +225,7 @@ class ReqSketch(LazyRng, estimator.Queries):
         find level 0 below B and compact nothing, so a run gives the
         bytes that merging its operands one by one gives."""
         self._view = None
-        while self.N < self.n + n:
-            self._grow_once()
+        self._grow_to(self.n + n)
         self.n += n
         self._min_B = min(self._min_B, min_B)
         while len(self.levels) < len(levels):
@@ -242,15 +237,71 @@ class ReqSketch(LazyRng, estimator.Queries):
 
     def copy(self) -> "ReqSketch":
         """Independent copy.  It gets the generator's state, not the
-        generator, so the two streams diverge; it shares the level arrays,
+        generator: it draws the coins this sketch would draw, and drawing
+        from one does not advance the other.  It shares the level arrays,
         which no code writes into in place."""
-        cp = type(self)(
-            self.k, schedule=self.schedule, khat=self._khat, k_const=self._k_const, N0=self.N
+        return self._from_state(*self._state())
+
+    # ------------------------------------------------------------------- state
+
+    def _state(self) -> tuple:
+        """The whole state: ``(schedule, k, k-hat, k_const, N, n, min_B,
+        generator source, [(schedule state, items) per level])``, k-hat
+        None for a fixed k.  The source is the generator's PCG64 fields
+        once it is built.  ``copy`` and ``serde`` read a sketch only
+        through this, and ``_from_state`` rebuilds it."""
+        return (
+            self.schedule, self.k, self._khat, self._k_const, self.N, self.n, self._min_B,
+            self._rng_src if self._rng is None else self._rng_state(),
+            [(lv.state, lv.values()) for lv in self.levels],
         )
-        cp.n, cp._min_B = self.n, self._min_B
-        cp.levels = [RelativeCompactor(lv.state, lv.values()) for lv in self.levels]
-        cp._rng_src = self._rng_src if self._rng is None else self._rng_state()
-        return cp
+
+    @classmethod
+    def _from_state(
+        cls, schedule: str, k: int, khat: Optional[float], k_const: int, N: int, n: int,
+        min_B: int, rng_src, levels: List[Tuple[int, np.ndarray]],
+    ) -> "ReqSketch":
+        """The sketch of a ``_state()``, which it takes as valid (the
+        decoder checks a blob's first).  Its levels share the item arrays,
+        and its generator is built from ``rng_src`` at its first draw."""
+        sk = cls.__new__(cls)
+        sk.schedule, sk.k, sk._khat, sk._k_const, sk.N = schedule, k, khat, k_const, N
+        sk.params = P.geometry(k, N)
+        sk.n, sk._min_B, sk._rng_src = n, min_B, rng_src
+        sk.levels = [RelativeCompactor(state, items) for state, items in levels]
+        return sk
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The coin-flip generator, built from its source at the first read."""
+        if self._rng is None:
+            src = self._rng_src
+            if isinstance(src, tuple):
+                state, inc, has_uint32, uinteger = src
+                self._rng = np.random.default_rng()
+                self._rng.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": has_uint32,
+                    "uinteger": uinteger,
+                }
+            else:
+                self._rng = np.random.default_rng(src)
+        return self._rng
+
+    @rng.setter
+    def rng(self, gen: np.random.Generator) -> None:
+        self._rng = gen
+
+    def _rng_state(self) -> Pcg64Fields:
+        """The generator's PCG64 fields: the decoded ones while no
+        generator has been built."""
+        if self._rng is None and isinstance(self._rng_src, tuple):
+            return self._rng_src
+        st = self.rng.bit_generator.state
+        if st["bit_generator"] != "PCG64":
+            raise ValueError(f"only a PCG64 generator can be saved, not {st['bit_generator']}")
+        return st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"]
 
     # ----------------------------------------------------------------- queries
 
@@ -275,17 +326,17 @@ class ReqSketch(LazyRng, estimator.Queries):
         elif self._k_const != other._k_const:
             raise ValueError(f"k_const mismatch: {self._k_const} != {other._k_const}")
 
-    def _compact_cascade(self, top: Optional[int] = None) -> None:
+    def _compact_cascade(self, top: int) -> None:
         """Bottom-up pass: compact every at-capacity level once.
 
         ``top`` is the highest level that received items from outside the
-        pass: 0 for ``update``, the source's top level for ``merge``.
-        Every pass leaves each level below B, so a sketch at rest, and
-        the blob it encodes, holds no full level.  Above ``top`` a level
-        can then be full only if the level under it was just compacted,
-        and the pass stops at the first level at or above ``top`` that is
-        not full.  ``top=None`` walks every level, as growth needs: it
-        changes B and special-compacts into every level at once.
+        pass: 0 for ``update``, the source's top level for ``merge``, the
+        top level for growth, which changes B and special-compacts into
+        every level at once.  Every pass leaves each level below B, so a
+        sketch at rest, and the blob it encodes, holds no full level.
+        Above ``top`` a level can then be full only if the level under it
+        was just compacted, and the pass stops at the first level at or
+        above ``top`` that is not full.
         """
         h = 0
         while h < len(self.levels):
@@ -295,7 +346,7 @@ class ReqSketch(LazyRng, estimator.Queries):
                 if h + 1 == len(self.levels):
                     self.levels.append(RelativeCompactor())
                 self.levels[h + 1].append(promoted)
-            elif top is not None and h >= top:
+            elif h >= top:
                 return
             h += 1
 
@@ -335,10 +386,11 @@ class ReqSketch(LazyRng, estimator.Queries):
         self.params = P.geometry(self.k, self.N)
         # The top level received promotions and new B may still be
         # exceeded in pathological cases; restore capacity.
-        self._compact_cascade()
+        self._compact_cascade(top=len(self.levels) - 1)
 
-    def _grow(self) -> None:
-        while self.n > self.N:
+    def _grow_to(self, bound: int) -> None:
+        """Grow, one epoch at a time, until N >= ``bound``."""
+        while self.N < bound:
             self._grow_once()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,29 +3,16 @@
 Executors build partial sketches per partition and return them to the
 driver (or to ``treeReduce`` combiners) as opaque ``bytes`` columns;
 this module is the only code that writes or reads those bytes.  Only
-``ReqSketch`` goes on the wire.
+``ReqSketch`` goes on the wire, and this module reads and rebuilds a
+sketch only through its state (``ReqSketch._state`` and
+``ReqSketch._from_state``).
 
-Layout (``struct``, little-endian, no padding; a u128 is two u64, low
-half first)::
-
-    offset  type     field
-    0       4s       magic b"RQSK"
-    4       u8       version, 3
-    5       u8       schedule: 0 = "req", 1 = "all"
-    6       u32      k
-    10      f8       k-hat, NaN (0x7ff8000000000000) for a fixed-k sketch
-    18      u32      k_const
-    22      u128     N
-    38      u64      n
-    46      u64      min_B
-    54      u32      level count L
-    58      u128     PCG64 state
-    74      u128     PCG64 inc
-    90      u8       PCG64 has_uint32
-    91      u32      PCG64 uinteger
-    95      L x 12   per level: schedule state (u64), item count (u32)
-    95+12L  f8       every level's items, level 0 first, each level
-                     in non-descending order
+A blob is a header (``_HEAD``), a level table of L rows (``_LEVEL``),
+then every level's items as float64, level 0 first, each level in
+non-descending order.  Both tables are declared once, below, as ordered
+field lists, from which the ``struct`` of the scalar decoder and the
+numpy record of the column decoder are built.  Everything is
+little-endian with no padding; a u128 is two u64, low half first.
 
 Each level's items are written sorted, whatever their order in memory
 (compaction leaves a level's kept items unsorted), so one sketch state
@@ -48,14 +35,17 @@ every header and level-table row with numpy, runs each of
 ``from_bytes``'s checks as an array comparison, and gathers every item
 into one read-only array.  Where a row fails a check it calls
 ``from_bytes`` on the first such row, so the ``ValueError`` a column
-raises is the scalar decoder's.  ``merge_column`` folds a decoded column
-left to right without a sketch object per small blob (see there); the
-bytes are those of ``merge_sequential`` over ``from_bytes`` of each blob.
+raises is the scalar decoder's.  Both decoders turn a header into a
+sketch state with ``_header_state``.  ``merge_column`` folds a decoded
+column left to right without a sketch object per small blob (see
+there); the bytes are those of ``merge_sequential`` over ``from_bytes``
+of each blob.
 """
 from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from itertools import accumulate
 from operator import lshift
 from typing import Optional, Tuple, Union
@@ -64,36 +54,79 @@ import numpy as np
 import pyarrow as pa
 
 from repro.core import params as P
-from repro.core.compactor import RelativeCompactor
 from repro.core.req_sketch import ReqSketch
 
 _MAGIC = b"RQSK"
 _VERSION = 3
 _SCHEDULES = ("req", "all")
-_HEAD = struct.Struct("<4sBBIdIQQQQIQQQQBI")
-_LEVEL = struct.Struct("<QI")
+# k-hat's field of a fixed-k sketch: the bits of the canonical quiet NaN.
+_NAN_U64 = 0x7FF8000000000000
 _ITEM = np.dtype("<f8")
 _U64 = (1 << 64) - 1
-_NAN = struct.pack("<d", math.nan)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_F8 = struct.Struct("<d")
+# ``struct`` codes by numpy kind and item size.  numpy's own type codes
+# are platform C types: ``np.dtype('<u8').char`` is ``'L'``, which
+# ``struct`` reads as 4 bytes under ``<``.
+_STRUCT_CODES = {("u", 1): "B", ("u", 4): "I", ("u", 8): "Q"}
+
+
+def _layout(*fields: Tuple[str, str]) -> Tuple[struct.Struct, np.dtype]:
+    """The ``struct`` and the numpy record of the little-endian, unpadded
+    layout of ``fields``, (name, numpy type) pairs in wire order."""
+    dtype = np.dtype(list(fields))
+    codes = [
+        f"{t.itemsize}s" if t.kind == "S" else _STRUCT_CODES[t.kind, t.itemsize]
+        for t in (dtype[name] for name in dtype.names)
+    ]
+    return struct.Struct("<" + "".join(codes)), dtype
+
+
+_HEAD, _HEAD_ROW = _layout(
+    ("magic", "S4"), ("version", "u1"), ("sched", "u1"), ("k", "<u4"),
+    ("khat", "<u8"),  # k-hat's float64 bits, _NAN_U64 for a fixed k
+    ("k_const", "<u4"), ("N_lo", "<u8"), ("N_hi", "<u8"), ("n", "<u8"), ("min_B", "<u8"),
+    ("L", "<u4"),  # level count
+    # PCG64 state, inc, has_uint32 and uinteger
+    ("s_lo", "<u8"), ("s_hi", "<u8"), ("i_lo", "<u8"), ("i_hi", "<u8"), ("has_uint32", "u1"), ("uinteger", "<u4"),
+)
+_LEVEL, _LEVEL_ROW = _layout(("state", "<u8"), ("count", "<u4"))  # per level: C, item count
+_Head = namedtuple("_Head", _HEAD_ROW.names)
 
 
 def to_bytes(sketch: ReqSketch) -> bytes:
     """Serialize a ``ReqSketch``."""
     if not isinstance(sketch, ReqSketch):
         raise TypeError(f"only ReqSketch has a wire format, not {type(sketch).__name__}")
-    N = sketch.N
+    schedule, k, khat, k_const, N, n, min_B, rng_src, levels = sketch._state()
     if N >> 128:
         raise ValueError(f"N = {N} does not fit the format's 128 bits")
-    state, inc, has_uint32, uinteger = sketch._rng_state()
-    items = [np.sort(lv.values(), kind="stable") for lv in sketch.levels]
-    head = _HEAD.pack(
-        _MAGIC, _VERSION, _SCHEDULES.index(sketch.schedule), sketch.k,
-        math.nan if sketch._khat is None else sketch._khat, sketch._k_const,
-        N & _U64, N >> 64, sketch.n, sketch._min_B, len(items),
-        state & _U64, state >> 64, inc & _U64, inc >> 64, has_uint32, uinteger,
-    )
-    table = [_LEVEL.pack(lv.state, v.size) for lv, v in zip(sketch.levels, items)]
+    for name, value in (("k", k), ("k_const", k_const)):
+        if value >> 32:
+            raise ValueError(f"{name} = {value} does not fit the format's 32 bits")
+    # A sketch that never drew may hold a seed, not PCG64 fields.
+    state, inc, has_uint32, uinteger = rng_src if isinstance(rng_src, tuple) else sketch._rng_state()
+    items = [np.sort(v, kind="stable") for _, v in levels]
+    head = _HEAD.pack(*_Head(
+        magic=_MAGIC, version=_VERSION, sched=_SCHEDULES.index(schedule), k=k,
+        khat=_NAN_U64 if khat is None else int.from_bytes(_F8.pack(khat), "little"),
+        k_const=k_const, N_lo=N & _U64, N_hi=N >> 64, n=n, min_B=min_B, L=len(items),
+        s_lo=state & _U64, s_hi=state >> 64, i_lo=inc & _U64, i_hi=inc >> 64,
+        has_uint32=has_uint32, uinteger=uinteger,
+    ))
+    table = [_LEVEL.pack(lv_state, v.size) for (lv_state, _), v in zip(levels, items)]
     return b"".join([head, *table, *(v.astype(_ITEM, copy=False).tobytes() for v in items)])
+
+
+def _header_state(h: _Head) -> tuple:
+    """``ReqSketch._state()`` of a header with a known schedule byte,
+    levels left out; k-hat is None only for the canonical NaN."""
+    return (
+        _SCHEDULES[h.sched], h.k,
+        None if h.khat == _NAN_U64 else _F8.unpack(h.khat.to_bytes(8, "little"))[0],
+        h.k_const, h.N_lo | h.N_hi << 64, h.n, h.min_B,
+        (h.s_lo | h.s_hi << 64, h.i_lo | h.i_hi << 64, h.has_uint32, h.uinteger),
+    )
 
 
 def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
@@ -106,10 +139,10 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
         raise ValueError("not a sketch blob (bad magic)")
     if size < _HEAD.size:
         raise ValueError(f"truncated sketch blob: {size} bytes")
-    (_, version, sched, k, khat, k_const, N_lo, N_hi, n, min_B, L,
-     s_lo, s_hi, i_lo, i_hi, has_uint32, uinteger) = _HEAD.unpack_from(blob)
-    if version != _VERSION:
-        raise ValueError(f"unsupported sketch format version {version}")
+    h = _Head(*_HEAD.unpack_from(blob))
+    if h.version != _VERSION:
+        raise ValueError(f"unsupported sketch format version {h.version}")
+    L = h.L
     table_end = _HEAD.size + L * _LEVEL.size
     if size < table_end:
         raise ValueError(f"truncated sketch blob: {size} bytes, table ends at {table_end}")
@@ -121,17 +154,18 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
         raise ValueError(
             f"sketch blob holds {size} bytes, its layout {table_end + total * _ITEM.itemsize}"
         )
-    if sched >= len(_SCHEDULES):
-        raise ValueError(f"unknown schedule byte {sched}")
+    if h.sched >= len(_SCHEDULES):
+        raise ValueError(f"unknown schedule byte {h.sched}")
+    state = _header_state(h)
+    _, k, khat, k_const, N, n, min_B, _ = state
     if k < 2 or k % 2:
         raise ValueError(f"k must be an even integer >= 2, got {k}")
-    N = N_lo | N_hi << 64
     if N < 2 or n > N:
         raise ValueError(f"need 2 <= N and n <= N, got N = {N}, n = {n}")
-    if math.isnan(khat):
-        if blob[10:18] != _NAN:
-            raise ValueError("k-hat of a fixed-k sketch must be the canonical NaN")
-        khat = None
+    if khat is None:
+        pass
+    elif math.isnan(khat):
+        raise ValueError("k-hat of a fixed-k sketch must be the canonical NaN")
     elif not (math.isfinite(khat) and khat > 0):
         raise ValueError(f"k-hat must be finite and positive, got {khat}")
     elif k != (k_N := _k_of_N(khat, N, k_const)):
@@ -139,9 +173,9 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
     B = P.geometry(k, N).B
     if not 0 < min_B <= B:
         raise ValueError(f"need 0 < min_B <= B = {B}, got {min_B}")
-    if has_uint32 > 1:
-        raise ValueError(f"PCG64 has_uint32 must be 0 or 1, got {has_uint32}")
-    if not i_lo & 1:
+    if h.has_uint32 > 1:
+        raise ValueError(f"PCG64 has_uint32 must be 0 or 1, got {h.has_uint32}")
+    if not h.i_lo & 1:
         raise ValueError("PCG64 increment must be odd")
     if L == 0:
         raise ValueError("a sketch has at least one level")
@@ -165,10 +199,8 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
         descents = np.flatnonzero(items[1:] < items[:-1]) + 1
         if not set(ends).issuperset(descents.tolist()):
             raise ValueError("a level's items are not in non-descending order")
-    return _sketch(
-        sched, k, khat, k_const, N, n, min_B,
-        [(state, items[end - count : end]) for (state, count), end in zip(levels, ends)],
-        (s_lo | s_hi << 64, i_lo | i_hi << 64, has_uint32, uinteger),
+    return ReqSketch._from_state(
+        *state, [(lv_state, items[end - count : end]) for (lv_state, count), end in zip(levels, ends)]
     )
 
 
@@ -178,29 +210,6 @@ def _k_of_N(khat: float, N: int, k_const: int) -> Optional[int]:
         return P.k_of_N(khat, N, const=k_const)
     except OverflowError:
         return None
-
-
-def _sketch(sched, k, khat, k_const, N, n, min_B, levels, rng_src) -> ReqSketch:
-    """The sketch of validated header fields and ``(state, items)`` levels."""
-    sk = ReqSketch(k, schedule=_SCHEDULES[sched], khat=khat, k_const=k_const, N0=N)
-    sk.n, sk._min_B = n, min_B
-    sk.levels = [RelativeCompactor(state, items) for state, items in levels]
-    sk._rng_src = rng_src
-    return sk
-
-
-# The header and a level-table row as numpy reads them from a column.
-_HEAD_ROW = np.dtype([
-    ("magic", "<u4"), ("version", "u1"), ("sched", "u1"), ("k", "<u4"), ("khat", "<u8"),
-    ("k_const", "<u4"), ("N_lo", "<u8"), ("N_hi", "<u8"), ("n", "<u8"), ("min_B", "<u8"),
-    ("L", "<u4"), ("s_lo", "<u8"), ("s_hi", "<u8"), ("i_lo", "<u8"), ("i_hi", "<u8"),
-    ("has_uint32", "u1"), ("uinteger", "<u4"),
-])
-_LEVEL_ROW = np.dtype([("state", "<u8"), ("count", "<u4")])
-assert _HEAD_ROW.itemsize == _HEAD.size and _LEVEL_ROW.itemsize == _LEVEL.size
-_MAGIC_U32 = int.from_bytes(_MAGIC, "little")
-_NAN_U64 = int.from_bytes(_NAN, "little")
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 class SketchColumn:
@@ -219,15 +228,10 @@ class SketchColumn:
 
     def sketch(self, i: int) -> ReqSketch:
         """Row ``i``'s sketch, as ``from_bytes`` builds it from the row's blob."""
-        h = self.head[i].item()
-        (_, _, sched, k, khat, k_const, N_lo, N_hi, n, min_B, _,
-         s_lo, s_hi, i_lo, i_hi, has_uint32, uinteger) = h
-        khat = None if khat == _NAN_U64 else struct.unpack("<d", struct.pack("<Q", khat))[0]
         levels = range(self.level_lo[i], self.level_lo[i + 1])
-        return _sketch(
-            sched, k, khat, k_const, N_lo | N_hi << 64, n, min_B,
+        return ReqSketch._from_state(
+            *_header_state(_Head(*self.head[i].item())),
             [(int(self.states[j]), self.items[self.item_lo[j] : self.item_lo[j + 1]]) for j in levels],
-            (s_lo | s_hi << 64, i_lo | i_hi << 64, has_uint32, uinteger),
         )
 
 
@@ -302,7 +306,7 @@ def decode_column(array) -> SketchColumn:
     N_lo, N_hi, n = head["N_lo"], head["N_hi"], head["n"]
     table_end = _HEAD.size + _LEVEL.size * L
     good = (
-        (head["magic"] == _MAGIC_U32) & (head["version"] == _VERSION)
+        (head["magic"] == _MAGIC) & (head["version"] == _VERSION)
         & (table_end <= sizes[rows]) & (head["sched"] < len(_SCHEDULES))
         & (k >= 2) & (k % 2 == 0) & ((N_hi > 0) | ((N_lo >= 2) & (n <= N_lo)))
         & (head["has_uint32"] <= 1) & (head["i_lo"] & 1 == 1) & (L >= 1)
@@ -389,7 +393,7 @@ def merge_column(array) -> ReqSketch:
     head = col.head
     plain = (
         (head["L"] == 1) & (col.states[col.level_lo[:-1]] == 0) & (head["n"] > 0)
-        & (head["khat"] == _NAN_U64) & (acc._khat is None) & (head["k"] == acc.k)
+        & (head["khat"] == _NAN_U64) & (head["khat"][0] == _NAN_U64) & (head["k"] == acc.k)
         & (head["sched"] == _SCHEDULES.index(acc.schedule)) & (head["N_hi"] == 0)
     ).tolist()
     ns, Ns, min_Bs = head["n"].tolist(), head["N_lo"].tolist(), head["min_B"]
@@ -418,5 +422,5 @@ def merge_column(array) -> ReqSketch:
     absorb(lo, len(col), count)
     # A level array that is a view of the column's items would keep every
     # item of the column alive as long as the result.
-    acc.levels = [RelativeCompactor(lv.state, lv.values().copy()) for lv in acc.levels]
-    return acc
+    *state, levels = acc._state()
+    return ReqSketch._from_state(*state, [(lv_state, v.copy()) for lv_state, v in levels])

@@ -44,7 +44,7 @@ def fill_sketch(k: int, entropy: Sequence[int], columns: Iterable[pd.Series]) ->
     ``SeedSequence(entropy)``, updated with the non-null values of each
     column chunk (a pandas Series, or a float64 array with NaN for null)
     in turn.  The generator is built only when the sketch first compacts
-    or is encoded (``LazyRng``), so a group that never fills level 0
+    or is encoded (``ReqSketch.rng``), so a group that never fills level 0
     never builds one.
     """
     sk = ReqSketch(k, seed=np.random.SeedSequence(entropy))
@@ -58,10 +58,10 @@ def fill_sketch(k: int, entropy: Sequence[int], columns: Iterable[pd.Series]) ->
 def check_build(k: int, seed: int) -> None:
     """Raise on the driver what ``fill_sketch`` would raise in a task for
     ``k`` and the ``[seed, ...]`` entropy: the ``ReqSketch`` constructor's
-    error for a bad ``k`` or a negative seed, and ``TypeError`` for a seed
-    that is not an int (``SeedSequence([seed, 0])`` takes only
-    non-negative ints, where the constructor also takes a
-    ``SeedSequence``)."""
+    error for a bad ``k`` (``TypeError`` for one that is not an integer)
+    or a negative seed, and ``TypeError`` for a seed that is not an int
+    (``SeedSequence([seed, 0])`` takes only non-negative ints, where the
+    constructor also takes a ``SeedSequence``)."""
     ReqSketch(k, seed=operator.index(seed))
 
 

@@ -17,7 +17,7 @@ Only the in-memory order of a level's kept items may differ.
 import numpy as np
 import pytest
 
-from repro.core import serde
+from repro.core import params as P, serde
 from repro.core.compactor import RelativeCompactor
 from repro.core.req_sketch import ReqSketch
 from repro.spark.aggregate import merge_balanced, merge_sequential
@@ -112,8 +112,8 @@ CONFIGS = {
     "k4": lambda seed, schedule: ReqSketch(4, seed=seed, schedule=schedule),
     "k8": lambda seed, schedule: ReqSketch(8, seed=seed, schedule=schedule),
     "k64": lambda seed, schedule: ReqSketch(64, seed=seed, schedule=schedule),
-    "adaptive": lambda seed, schedule: ReqSketch.from_error_mergeable(
-        0.1, 0.1, seed=seed, k_const=2, schedule=schedule
+    "adaptive": lambda seed, schedule: ReqSketch(
+        seed=seed, schedule=schedule, khat=P.khat_mergeable(0.1, 0.1), k_const=2
     ),
 }
 SCHEDULES = ["req", "all"]

@@ -1,7 +1,8 @@
-"""The Spark layer, the experiments and the baselines use sketches
-through their public API only: ``ReqSketch`` alone sets a sketch's
-parameters and generator source, so no other module reads or writes an
-underscore attribute of an object other than ``self``."""
+"""``ReqSketch`` alone sets a sketch's parameters, levels and generator
+source.  The Spark layer, the experiments and the baselines use sketches
+through their public API only: they read or write no underscore
+attribute of an object other than ``self``.  The wire format reads and
+rebuilds a sketch through its state methods only."""
 import ast
 from pathlib import Path
 
@@ -9,6 +10,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 FILES = [p for d in ("spark", "experiments", "baselines") for p in sorted((SRC / d).rglob("*.py"))]
+SERDE = SRC / "core" / "serde.py"
+# The whole state read out and rebuilt, the generator's PCG64 fields, and
+# Algorithm 4's merge of an operand given as its levels.
+SKETCH_STATE_METHODS = {"_state", "_from_state", "_rng_state", "_absorb"}
 
 
 def private_accesses(source: str):
@@ -53,3 +58,8 @@ def test_detector(source, expected):
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_private_access(path):
     assert private_accesses(path.read_text()) == []
+
+
+def test_serde_uses_only_the_sketch_state_methods():
+    found = {access.rsplit(".", 1)[1] for access in private_accesses(SERDE.read_text())}
+    assert found == SKETCH_STATE_METHODS

@@ -65,6 +65,30 @@ class TestBasics:
         with pytest.raises(error):
             ReqSketch(8, seed=seed)
 
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"k": 4.5}, TypeError, "integer"),
+            ({"k": 6.9}, TypeError, "integer"),
+            ({"k": "8"}, TypeError, "integer"),
+            ({"k": 3}, ValueError, "k must be an even integer >= 2, got 3"),
+            ({"khat": 1.5, "k_const": 0}, ValueError, "k_const must be a positive integer, got 0"),
+            ({"khat": 1.5, "k_const": -2}, ValueError, "k_const must be a positive integer, got -2"),
+            ({"khat": 1.5, "k_const": 2.0}, TypeError, "integer"),
+            ({"k": 8, "k_const": 0}, ValueError, "k_const must be a positive integer"),
+        ],
+    )
+    def test_bad_k_rejected_at_construction(self, kwargs, error, match):
+        """Not rounded to an integer, and no k_const <= 0 clamped to k = 2."""
+        with pytest.raises(error, match=match):
+            ReqSketch(**kwargs)
+
+    @pytest.mark.parametrize("k", [np.int64(8), np.uint32(8), np.int8(8)])
+    def test_integral_numpy_k_accepted(self, k):
+        sk = ReqSketch(k, k_const=np.int64(4)).update(np.arange(1000.0))
+        assert sk.k == 8 and type(sk.k) is int and sk.num_levels > 1
+        assert ReqSketch(khat=1.5, k_const=np.int32(2)).k == ReqSketch(khat=1.5, k_const=2).k
+
     @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2 ** 70, np.random.SeedSequence(7)])
     def test_good_seeds_accepted(self, seed):
         sk = ReqSketch(8, seed=seed).update(np.arange(1000.0))
@@ -252,3 +276,19 @@ class TestCopy:
         cp = sk.copy()
         qs = np.linspace(0, 1, 50)
         assert np.array_equal(sk.ranks(qs), cp.ranks(qs))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ReqSketch(8, seed=3), lambda: ReqSketch(schedule="all", khat=1.5, k_const=2, N0=64)],
+        ids=["fixed", "adaptive"],
+    )
+    def test_copy_sets_what_the_constructor_sets(self, make):
+        """``copy`` (``_from_state``) restores every attribute the
+        constructor sets, to an equal value."""
+        sk, cp = make(), make().copy()
+        assert vars(cp).keys() == vars(sk).keys()
+        for name, value in vars(sk).items():
+            if name == "levels":
+                assert [(lv.state, len(lv)) for lv in cp.levels] == [(lv.state, len(lv)) for lv in value]
+            else:
+                assert getattr(cp, name) == value, name

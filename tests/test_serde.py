@@ -143,6 +143,24 @@ class TestGeneratorOnFirstDraw:
         more = stream_array("uniform", 20_000, seed=11)
         assert serde.to_bytes(cp.update(more)) == serde.to_bytes(_eager(blob).update(more))
 
+    @pytest.mark.parametrize("seed", [14, np.random.SeedSequence([14, 0])], ids=["int", "SeedSequence"])
+    def test_copy_and_decode_of_undrawn_sketch_build_no_generator(self, monkeypatch, seed):
+        """Neither builds a generator, and each then draws the coins the
+        original draws: the same bytes after the same update."""
+        items = stream_array("uniform", 20, seed=14)
+        original = ReqSketch(8, seed=seed).update(items)
+        assert original.num_levels == 1  # it never compacted, so never drew
+        blob = serde.to_bytes(ReqSketch(8, seed=seed).update(items))
+        more = stream_array("uniform", 20_000, seed=15)
+        built, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+        cp, decoded = original.copy(), serde.from_bytes(blob)
+        assert built == []
+        want = serde.to_bytes(original.update(more))
+        assert serde.to_bytes(cp.update(more)) == want
+        assert serde.to_bytes(decoded.update(more)) == want
+        assert len(built) == 3  # one each, at its first draw
+
     def test_copy_takes_state_not_generator(self):
         sk = ReqSketch(8, seed=12).update(stream_array("uniform", 5_000, seed=12))
         assert sk._rng is not None  # it compacted, so it drew
@@ -457,6 +475,15 @@ class TestEncoder:
     def test_N_beyond_128_bits_refused(self):
         with pytest.raises(ValueError, match="128 bits"):
             serde.to_bytes(ReqSketch(4, N0=2 ** 128))
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [(lambda: ReqSketch(2 ** 32), "k"), (lambda: ReqSketch(8, k_const=2 ** 32), "k_const")],
+        ids=["k", "k_const"],
+    )
+    def test_field_beyond_32_bits_refused(self, make, field):
+        with pytest.raises(ValueError, match=rf"^{field} = {2 ** 32} does not fit the format's 32 bits"):
+            serde.to_bytes(make())
 
     def test_non_pcg64_generator_refused(self):
         sk = ReqSketch(4)

@@ -103,6 +103,8 @@ class TestMergeShapes:
         jobs = tracker.getJobIdsForGroup()
         with pytest.raises(ValueError, match="k must be an even integer >= 2, got 3"):
             agg.build_sketch(df, "x", k=3, method=method)
+        with pytest.raises(TypeError, match="integer"):
+            agg.build_sketch(df, "x", k=4.5, method=method)
         assert tracker.getJobIdsForGroup() == jobs
 
     @pytest.mark.parametrize("method", ["map_partitions", "tree_aggregate"])

@@ -120,6 +120,8 @@ class TestGroupQuantiles:
         ``seed`` raises while the plan is built, not in a Spark task."""
         with pytest.raises(ValueError, match="k must be an even integer >= 2, got 3"):
             build(li, ["l_returnflag"], "l_quantity", k=3)
+        with pytest.raises(TypeError, match="integer"):
+            build(li, ["l_returnflag"], "l_quantity", k=4.5)
         with pytest.raises(ValueError, match="build_sketch"):
             build(li, [], "l_quantity")
         for name in ["l_quantity..x", "`l_quantity"]:
