@@ -71,7 +71,8 @@ class ReqSketch(estimator.Queries):
         even ``k`` >= 2 and a positive ``k_const``.  ``seed`` (a
         non-negative int or a ``numpy.random.SeedSequence``) seeds the
         coin-flip generator, built on first use; assign ``rng`` to install
-        a ready one.  ``N0`` (at least 2) overrides the initial bound on n.
+        a ready one.  ``N0``, an integer of at least 2 (``TypeError`` for
+        one that is not an integer), overrides the initial bound on n.
         """
         if schedule not in ("req", "all"):
             raise ValueError(f"schedule must be 'req' or 'all', got {schedule!r}")
@@ -86,11 +87,11 @@ class ReqSketch(estimator.Queries):
         self._k_const = k_const
         self.schedule = schedule
         if khat is not None:
-            self.N = int(N0) if N0 is not None else max(P.initial_N(2), math.ceil(8 * khat))
+            self.N = operator.index(N0) if N0 is not None else max(P.initial_N(2), math.ceil(8 * khat))
             self.k = P.k_of_N(khat, self.N, const=k_const)
         else:
             self.k = operator.index(k)
-            self.N = int(N0) if N0 is not None else P.initial_N(self.k)
+            self.N = operator.index(N0) if N0 is not None else P.initial_N(self.k)
         if self.N < 2:
             raise ValueError(f"N0 must be >= 2, got {N0}")
         self.params = P.geometry(self.k, self.N)

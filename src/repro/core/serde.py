@@ -160,6 +160,8 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
     _, k, khat, k_const, N, n, min_B, _ = state
     if k < 2 or k % 2:
         raise ValueError(f"k must be an even integer >= 2, got {k}")
+    if k_const == 0:
+        raise ValueError(f"k_const must be a positive integer, got {k_const}")
     if N < 2 or n > N:
         raise ValueError(f"need 2 <= N and n <= N, got N = {N}, n = {n}")
     if khat is None:
@@ -308,7 +310,8 @@ def decode_column(array) -> SketchColumn:
     good = (
         (head["magic"] == _MAGIC) & (head["version"] == _VERSION)
         & (table_end <= sizes[rows]) & (head["sched"] < len(_SCHEDULES))
-        & (k >= 2) & (k % 2 == 0) & ((N_hi > 0) | ((N_lo >= 2) & (n <= N_lo)))
+        & (k >= 2) & (k % 2 == 0) & (head["k_const"] > 0)
+        & ((N_hi > 0) | ((N_lo >= 2) & (n <= N_lo)))
         & (head["has_uint32"] <= 1) & (head["i_lo"] & 1 == 1) & (L >= 1)
     )
     khat = head["khat"].view("<f8")

@@ -2,11 +2,11 @@
 
 Every Spark sketch is built by one executor-side function,
 ``fill_sketch``: drop nulls/NaN, start an empty ``ReqSketch(k)`` with a
-seeded RNG, ``update`` with each Arrow batch.  Algorithm 4's merge is
-full, so any merge tree keeps the guarantee (App. C) and the dataflow
-only chooses where merges run:
+seeded RNG, ``update`` with each Arrow batch of ``_as_double``'s column.
+Algorithm 4's merge is full, so any merge tree keeps the guarantee
+(App. C) and the dataflow only chooses where merges run:
 
-* ``build_sketch(..., method="map_partitions")`` — ``mapInPandas``
+* ``build_sketch(..., method="map_partitions")`` — ``mapInArrow``
   emits one partial per non-empty partition as bytes; the driver merges
   the partials in a balanced binary tree (``merge_balanced``).  T4 also
   folds the same partials left to right (``merge_sequential``).
@@ -14,7 +14,7 @@ only chooses where merges run:
   blobs merged on executors by ``RDD.treeReduce`` (decode, merge,
   encode) with ``depth`` combiner levels; only the root reaches the
   driver.  ``depth=1`` is the left fold in partition order.
-* ``repro.spark.udaf`` — one sketch per group, built by a pandas UDF
+* ``repro.spark.udaf`` — one sketch per group, built by an Arrow UDF
   over ``groupBy``'s collected values and answered or emitted where it
   is built.
 
@@ -26,10 +26,11 @@ shared RNG).
 from __future__ import annotations
 
 import operator
+import re
 from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark import TaskContext
 from pyspark.sql import DataFrame
 
@@ -37,20 +38,39 @@ from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 
 
-def fill_sketch(k: int, entropy: Sequence[int], columns: Iterable[pd.Series]) -> ReqSketch:
+# One part of a column name as Spark's attribute-name parser reads it: a
+# backticked run, in which a doubled backtick stands for one, or a run of
+# anything but dots and backticks.
+_PART = r"`(?:[^`]|``)*`|[^.`]+"
+_NAME = re.compile(rf"(?:{_PART})(?:\.(?:{_PART}))*")
+
+
+def _sql_name(name: str) -> str:
+    """``name`` as SQL text that resolves as the column name ``name``
+    does in ``df.groupBy(name)``: the same parts, each backticked."""
+    if not _NAME.fullmatch(name):
+        raise ValueError(f"syntax error in the column name {name!r}")
+    return ".".join(p if p[0] == "`" else f"`{p}`" for p in re.findall(_PART, name))
+
+
+def _as_double(col: str) -> str:
+    """SQL text for ``col`` as a DOUBLE, the one cast every Spark shape
+    reads values through: a timestamp counts seconds, a boolean 0 or 1."""
+    return f"CAST({_sql_name(col)} AS DOUBLE)"
+
+
+def fill_sketch(k: int, entropy: Sequence[int], columns: Iterable[np.ndarray]) -> ReqSketch:
     """The executor-side builder behind every Spark shape.
 
     An empty ``ReqSketch(k)`` with an RNG seeded by
-    ``SeedSequence(entropy)``, updated with the non-null values of each
-    column chunk (a pandas Series, or a float64 array with NaN for null)
-    in turn.  The generator is built only when the sketch first compacts
-    or is encoded (``ReqSketch.rng``), so a group that never fills level 0
-    never builds one.
+    ``SeedSequence(entropy)``, updated with each float64 array of
+    ``columns`` in turn, less its NaNs, which stand for nulls.  The
+    generator is built only when the sketch first compacts or is encoded
+    (``ReqSketch.rng``), so a group that never fills level 0 never builds
+    one.
     """
     sk = ReqSketch(k, seed=np.random.SeedSequence(entropy))
     for chunk in columns:
-        if not isinstance(chunk, np.ndarray):
-            chunk = chunk.to_numpy(dtype=np.float64, na_value=np.nan)
         sk.update(chunk[~np.isnan(chunk)])
     return sk
 
@@ -72,13 +92,13 @@ def _partial_blobs(df: DataFrame, col: str, k: int, seed: int) -> DataFrame:
     (``check_build``)."""
     check_build(k, seed)
 
-    def build(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def build(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         pid = TaskContext.get().partitionId()
-        sk = fill_sketch(k, [seed, pid], (pdf[col] for pdf in batches))
+        sk = fill_sketch(k, [seed, pid], (b.column(0).to_numpy(zero_copy_only=False) for b in batches))
         if sk.n:
-            yield pd.DataFrame({"sketch": [serde.to_bytes(sk)]})
+            yield pa.record_batch([pa.array([serde.to_bytes(sk)], pa.binary())], ["sketch"])
 
-    return df.select(col).mapInPandas(build, schema="sketch binary")
+    return df.selectExpr(_as_double(col)).mapInArrow(build, schema="sketch binary")
 
 
 def partition_sketches(

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
 def queries_df(df: DataFrame, queries: Sequence[float]) -> DataFrame:
-    spark = df.sparkSession
-    return spark.createDataFrame(
-        pd.DataFrame({"y": [float(q) for q in queries]})
-    )
+    return df.sparkSession.createDataFrame([(float(q),) for q in queries], "y double")
 
 
 def exact_ranks(df: DataFrame, col: str, queries: Sequence[float]) -> DataFrame:

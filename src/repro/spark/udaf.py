@@ -1,10 +1,10 @@
 """Grouped sketching — the "UDAF" usage shape, on Spark's own ``groupBy``.
 
-``df.groupBy(keys)`` collects each group's values into one array
-(``collect_list``, which drops nulls), and one scalar pandas UDF builds
-the group's sketch from that array with ``aggregate.fill_sketch`` (the
-builder every Spark shape shares).  What the UDF returns depends on the
-call:
+``df.groupBy(keys)`` collects each group's values, cast to DOUBLE as in
+every shape, into one array (``collect_list``, which drops nulls), and
+one scalar Arrow UDF cuts each group's slice from the list array's flat
+values and builds its sketch with ``aggregate.fill_sketch`` (the builder
+every Spark shape shares).  What the UDF returns depends on the call:
 
 * ``group_sketches`` — the serialized sketch and its ``n`` per group,
   i.e. ``SELECT key, REQ_SKETCH(x) ... GROUP BY key``;
@@ -39,7 +39,7 @@ Ordering: a group's rows are adjacent and in ascending ``phi``, but the
 groups come back in no particular order.  Add
 ``orderBy(*group_cols, "phi")`` where a global order is needed.
 
-Why not a real Catalyst UDAF: PySpark's pandas GROUPED_AGG UDFs cannot
+Why not a real Catalyst UDAF: PySpark's GROUPED_AGG UDFs cannot
 carry partial aggregation state across partitions (no merge hook), and
 a JVM ``TypedImperativeAggregate`` needs a Scala build, which this
 pure-Python package does not have (see DESIGN.md).  So a group's values
@@ -47,33 +47,17 @@ are held whole in its ``collect_list`` until its sketch is built.
 """
 from __future__ import annotations
 
-import re
 from typing import Callable, List, Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import serde
 from repro.core.estimator import check_fractions
 from repro.core.req_sketch import ReqSketch
-from repro.spark.aggregate import check_build, fill_sketch
-
-
-# One part of a column name as Spark's attribute-name parser reads it: a
-# backticked run, in which a doubled backtick stands for one, or a run of
-# anything but dots and backticks.
-_PART = r"`(?:[^`]|``)*`|[^.`]+"
-_NAME = re.compile(rf"(?:{_PART})(?:\.(?:{_PART}))*")
-
-
-def _sql_name(name: str) -> str:
-    """``name`` as SQL text that resolves as the column name ``name``
-    does in ``df.groupBy(name)``: the same parts, each backticked."""
-    if not _NAME.fullmatch(name):
-        raise ValueError(f"syntax error in the column name {name!r}")
-    return ".".join(p if p[0] == "`" else f"`{p}`" for p in re.findall(_PART, name))
+from repro.spark.aggregate import _as_double, _sql_name, check_build, fill_sketch
 
 
 def _group_rows(df: DataFrame, group_cols: List[str], value_col: str) -> DataFrame:
@@ -83,15 +67,17 @@ def _group_rows(df: DataFrame, group_cols: List[str], value_col: str) -> DataFra
     keys = [_sql_name(c) for c in group_cols]
     flags = [f"isnull({c})" for c in keys]
     return df.groupBy(*group_cols).agg(
-        F.expr(f"collect_list(CAST({_sql_name(value_col)} AS DOUBLE)) AS _values"),
+        F.expr(f"collect_list({_as_double(value_col)}) AS _values"),
         F.expr(f"xxhash64({', '.join(keys + flags)}) AS _key_hash"),
     )
 
 
-def _sketches(values: pd.Series, key_hash: pd.Series, k: int, seed: int) -> List[ReqSketch]:
+def _sketches(values: pa.ListArray, key_hash: pa.Int64Array, k: int, seed: int) -> List[ReqSketch]:
     """The per-group build over one batch of group rows."""
-    hashes = key_hash.to_numpy(dtype=np.int64).view(np.uint64)
-    return [fill_sketch(k, [seed, int(h)], [v]) for v, h in zip(values, hashes)]
+    flat = values.values.to_numpy(zero_copy_only=False)
+    ends = values.offsets.to_numpy()
+    hashes = key_hash.to_numpy().view(np.uint64)
+    return [fill_sketch(k, [seed, int(h)], [flat[a:b]]) for a, b, h in zip(ends[:-1], ends[1:], hashes)]
 
 
 def _per_group(
@@ -112,7 +98,7 @@ def _per_group(
     if not group_cols:
         raise ValueError("group_cols is empty; build_sketch sketches a whole column")
     check_build(k, seed)
-    out = F.pandas_udf(udf, return_type)("_values", "_key_hash")
+    out = F.arrow_udf(udf, return_type)("_values", "_key_hash")
     return _group_rows(df, group_cols, value_col).withColumn("_values", out)
 
 
@@ -126,14 +112,11 @@ def group_sketches(
 ) -> DataFrame:
     """One REQ sketch per group: columns ``group_cols + [sketch, n]``."""
 
-    def build(values: pd.Series, key_hash: pd.Series) -> pd.DataFrame:
+    def build(values: pa.Array, key_hash: pa.Array) -> pa.Array:
         sketches = _sketches(values, key_hash, k, seed)
-        return pd.DataFrame(
-            {
-                "sketch": [serde.to_bytes(sk) for sk in sketches],
-                "n": np.array([sk.n for sk in sketches], dtype=np.int64),
-            }
-        )
+        blobs = pa.array([serde.to_bytes(sk) for sk in sketches], pa.binary())
+        ns = pa.array([sk.n for sk in sketches], pa.int64())
+        return pa.StructArray.from_arrays([blobs, ns], ["sketch", "n"])
 
     out = _per_group(df, group_cols, value_col, k, seed, build, "sketch binary, n long")
     return out.select(*group_cols, "_values.sketch", "_values.n")
@@ -158,9 +141,10 @@ def group_quantiles(
     phis = np.sort(check_fractions(phis), kind="stable")
     no_answer = [None] * phis.size
 
-    def answer(values: pd.Series, key_hash: pd.Series) -> pd.Series:
+    def answer(values: pa.Array, key_hash: pa.Array) -> pa.Array:
         sketches = _sketches(values, key_hash, k, seed)
-        return pd.Series([sk.quantiles(phis) if sk.n else no_answer for sk in sketches])
+        answers = [sk.quantiles(phis) if sk.n else no_answer for sk in sketches]
+        return pa.array(answers, pa.list_(pa.float64()))
 
     out = _per_group(df, group_cols, value_col, k, seed, answer, "array<double>")
     # ``repr`` round-trips a float; the ``D`` suffix makes it a DOUBLE

@@ -51,6 +51,16 @@ class TestBasics:
         with pytest.raises(ValueError, match="N0 must be >= 2"):
             ReqSketch(8, N0=N0)
 
+    @pytest.mark.parametrize("N0", [100.7, 64.0, "64"])
+    def test_non_integer_N0_rejected(self, N0):
+        """Not truncated or parsed to an integer bound, as ``k`` is not."""
+        with pytest.raises(TypeError, match="integer"):
+            ReqSketch(8, N0=N0)
+
+    def test_numpy_integer_N0_accepted(self):
+        sk = ReqSketch(8, N0=np.int64(64))
+        assert sk.N == 64 and type(sk.N) is int
+
     def test_N0_of_2_round_trips_and_grows(self):
         sk = ReqSketch(8, N0=2)
         assert serde.from_bytes(serde.to_bytes(sk)).N == 2

@@ -304,6 +304,7 @@ CORRUPTIONS = {
     "schedule_byte_2": ("fixed_k", lambda sk: (5, "<B", 2), "schedule"),
     "odd_k": ("fixed_k", lambda sk: (6, "<I", 5), "even"),
     "zero_k": ("fixed_k", lambda sk: (6, "<I", 0), "even"),
+    "zero_k_const": ("fixed_k", lambda sk: (18, "<I", 0), "k_const must be a positive integer, got 0"),
     "khat_inf": ("adaptive_grown", lambda sk: (10, "<d", math.inf), "finite"),
     "khat_zero": ("adaptive_grown", lambda sk: (10, "<d", 0.0), "finite"),
     "khat_other_nan": ("fixed_k", lambda sk: (10, "<Q", 0x7FF8000000000001), "canonical NaN"),

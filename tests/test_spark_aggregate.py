@@ -1,5 +1,7 @@
 """Distributed-build tests: partition partials, merge trees, treeAggregate."""
 import hashlib
+from datetime import datetime, timezone
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from repro.baselines.exact import ExactRanks, relative_errors
 from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 from repro.spark import aggregate as agg
+from repro.spark import udaf
 
 N = 40_000
 
@@ -212,6 +215,36 @@ class TestPinnedBytes:
             spark.conf.set(key, before)
         assert serde.from_bytes(blobs[0]).N > 65_536
         assert blobs[0] == blobs[1]
+
+
+# value column type -> (its values, the level-0 items every shape keeps)
+VALUE_TYPES = {
+    "double": ("double", [1.5, float("nan"), None, -2.0], [-2.0, 1.5]),
+    "float": ("float", [0.5, -1.25, 3.0], [-1.25, 0.5, 3.0]),
+    "bigint": ("bigint", [2 ** 53 + 1, None, -7], [-7.0, 2.0 ** 53]),
+    "decimal": ("decimal(38,2)", [Decimal("12345.67"), Decimal("-0.01")], [-0.01, 12345.67]),
+    "boolean": ("boolean", [True, False, True], [0.0, 1.0, 1.0]),
+    "timestamp": ("timestamp", [datetime(2020, 1, 1, tzinfo=timezone.utc), None], [1577836800.0]),
+}
+
+
+class TestValueTypes:
+    """Spark casts the value column to DOUBLE once, in the same way for
+    every shape, so a column's type reaches no shape differently: a null
+    or a NaN is no item, a timestamp counts seconds, a boolean 0 or 1."""
+
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+    def test_every_shape_keeps_the_same_items(self, spark, name):
+        dtype, values, items = VALUE_TYPES[name]
+        df = spark.createDataFrame([(0, v) for v in values], f"g int, x {dtype}")
+        sketches = [agg.build_sketch(df, "x", k=8, method=m) for m in ("map_partitions", "tree_aggregate")]
+        (row,) = udaf.group_sketches(df, ["g"], "x", k=8).collect()
+        sketches.append(serde.from_bytes(row["sketch"]))
+        assert row["n"] == len(items)
+        for sk in sketches:
+            ((_, level0),) = sk.level_arrays()
+            assert sk.n == len(items)
+            assert np.sort(level0).tolist() == items
 
 
 class TestTpchColumn:

@@ -285,7 +285,7 @@ def _apply_in_pandas(df, keys, col, phis=None, *, k, seed):
     row, and ``orderBy`` sorts the answers."""
     def one(key, pdf):
         entropy = [seed, int(np.int64(pdf["key_hash"].iloc[0]).view(np.uint64))]
-        sk = fill_sketch(k, entropy, [pdf[col]])
+        sk = fill_sketch(k, entropy, [pdf[col].to_numpy(np.float64, na_value=np.nan)])
         if phis is None:
             return pd.DataFrame([key + (serde.to_bytes(sk), sk.n)], columns=keys + ["sketch", "n"])
         vals = sk.quantiles(phis) if sk.n else [None] * len(phis)
