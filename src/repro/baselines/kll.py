@@ -19,7 +19,7 @@ rule is KLL's own.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
@@ -58,13 +58,7 @@ class KllSketch(estimator.Queries):
     # ------------------------------------------------------------------ update
 
     def update(self, values: Iterable[float] | np.ndarray | float) -> "KllSketch":
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        arr = arr.ravel()
-        if np.any(np.isnan(arr)):
-            raise ValueError("NaN items are not totally ordered; refusing to insert")
-        self._view = None
+        arr = self._intake(values)
         pos, total = 0, arr.size
         while pos < total:
             room = self.capacity(0) - len(self.levels[0])
@@ -113,12 +107,6 @@ class KllSketch(estimator.Queries):
         self.n += other.n
         self._compress()
         return self
-
-    # ----------------------------------------------------------------- queries
-
-    def level_arrays(self) -> List[Tuple[int, np.ndarray]]:
-        """(weight, unsorted items) per level, as for ``ReqSketch``."""
-        return [(1 << h, lv.values()) for h, lv in enumerate(self.levels)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KllSketch(k={self.k}, n={self.n}, retained={self.num_retained()})"

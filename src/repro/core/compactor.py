@@ -39,11 +39,13 @@ class RelativeCompactor:
     Queries read the unsorted items through the sketch's sorted view,
     and the wire format sorts each level on encode (``serde``).
 
-    Invariant: no code writes into a buffered array in place.
-    ``compact`` partitions into a new array (``np.partition`` returns a
-    copy) and ``values`` concatenates into one, so a merge may append
-    another sketch's level arrays without copying them, and both
-    sketches stay independent.
+    Invariant: no code writes into a buffered array in place, and every
+    array a level holds is the sketch's own (``update`` copies what it
+    receives, ``estimator.Queries._intake``).  ``compact`` partitions
+    into a new array (``np.partition`` returns a copy) and ``values``
+    concatenates into one, so a merge may append another sketch's level
+    arrays without copying them, a snapshot of a sketch's levels stays
+    valid while the sketch changes, and both sketches stay independent.
     """
 
     __slots__ = ("state", "_chunks", "_count")

@@ -1,8 +1,9 @@
 """Rank / CDF / quantile queries over one sorted view of a sketch.
 
-The REQ sketch and the KLL baseline expose their state as
-``level_arrays()``: ``(weight, unsorted items)`` per level, weight 2^h at
-level h (Algorithm 2, Estimate-Rank).  ``SortedView`` sorts that weighted
+The REQ sketch and the KLL baseline keep their items in ``levels``, one
+``RelativeCompactor`` per level, and ``Queries.level_arrays()`` reads
+them as ``(weight, unsorted items)`` per level, weight 2^h at level h
+(Algorithm 2, Estimate-Rank).  ``SortedView`` sorts that weighted
 coreset once into values plus cumulative weights, so every query is a
 ``numpy.searchsorted``; ``Queries`` caches one view per sketch.
 
@@ -11,7 +12,7 @@ rank, found with ``searchsorted(..., side="right")``.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,13 +72,27 @@ class SortedView:
 
 
 class Queries:
-    """Rank, CDF and quantile methods for a sketch with ``level_arrays()``.
+    """Rank, CDF and quantile methods for a sketch with ``levels``.
 
     They read one ``SortedView`` cached in ``_view``; every method that
     changes the retained items must reset ``_view`` to None.
     """
 
     _view: Optional[SortedView] = None
+
+    def _intake(self, values) -> np.ndarray:
+        """An ``update``'s items (a scalar, a sequence or an array) as a
+        new 1-d float64 array, which the caller cannot write into once a
+        level keeps it; resets the view.  Raises ``ValueError`` on a NaN."""
+        arr = np.array(values, dtype=np.float64).reshape(-1)
+        if np.isnan(arr).any():
+            raise ValueError("NaN items are not totally ordered; refusing to insert")
+        self._view = None
+        return arr
+
+    def level_arrays(self) -> List[Tuple[int, np.ndarray]]:
+        """(weight, unsorted items) per level — the Estimate-Rank coreset."""
+        return [(1 << h, lv.values()) for h, lv in enumerate(self.levels)]
 
     def _sorted_view(self) -> SortedView:
         if self._view is None:

@@ -18,7 +18,6 @@ Eq. (6), and tests pin both sets of formulas exactly as printed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -96,31 +95,18 @@ def next_N(N: int) -> int:
     return N * N
 
 
-@dataclass(frozen=True)
-class CompactorParams:
-    """Shared per-epoch geometry of every level's buffer."""
-
-    k: int
-    num_sections: int
-    # Buffer capacity, computed once: compaction reads it on every pass.
-    B: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # buffer_size validates k and num_sections.
-        object.__setattr__(self, "B", buffer_size(self.k, self.num_sections))
-
-
 @lru_cache(maxsize=1024)
-def geometry(k: int, N: int) -> CompactorParams:
-    """The buffer geometry of the epoch with section size ``k`` and bound
-    ``N``: ``num_sections_mergeable(N, k)`` sections of ``k`` items.
+def geometry(k: int, N: int) -> int:
+    """The buffer size B of the epoch with section size ``k`` and bound
+    ``N``: ``num_sections_mergeable(N, k)`` sections of ``k`` items, so
+    the section count is ``B // (2 * k)``.
 
-    The one place a sketch's geometry is derived: the ``ReqSketch``
-    constructor, its growth step and the decoder's capacity checks all
-    call it.  Cached, and safe to share because ``CompactorParams`` is
-    frozen: a rollup decodes thousands of blobs from the same few epochs.
+    The one place an epoch's geometry is derived: the ``ReqSketch``
+    constructor, its growth step, its merge of a lagging operand and the
+    decoder's capacity checks all call it.  Cached: a rollup decodes
+    thousands of blobs from the same few epochs.
     """
-    return CompactorParams(k, num_sections_mergeable(N, k))
+    return buffer_size(k, num_sections_mergeable(N, k))
 
 
 def _check_eps_delta(eps: float, delta: float) -> None:

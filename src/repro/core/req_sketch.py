@@ -7,10 +7,12 @@ h+1, where items count with weight 2^h.  The sketch supports
   the upper bound N squares (N <- N^2) whenever the processed count
   exceeds it, after App.-C "special compactions" (the paper's
   footnote-7 practical variant of §5);
-* full mergeability (Algorithm 4): schedule states combine via bitwise
-  OR, buffers concatenate, and a single bottom-up compaction pass
-  restores capacity — an arbitrary merge tree preserves the
-  multiplicative error guarantee;
+* full mergeability (Algorithm 4, one routine, ``_absorb``): grow N to
+  cover both inputs, special-compact an operand from an earlier epoch
+  with its own B, combine schedule states via bitwise OR, concatenate
+  buffers, and restore capacity with a single bottom-up compaction
+  pass — an arbitrary merge tree preserves the multiplicative error
+  guarantee;
 * rank / CDF / quantile queries through one cached sorted view of the
   weighted coreset of all levels (``estimator.Queries``).
 
@@ -43,6 +45,9 @@ Pcg64Fields = Tuple[int, int, int, int]
 
 class ReqSketch(estimator.Queries):
     """Mergeable relative-error streaming quantiles sketch.
+
+    ``k``, ``N`` and ``B`` are the current epoch's section size, bound on
+    n and buffer size; they change together when N squares.
 
     A generator costs tens of microseconds to build, as much as decoding a
     small sketch, and a decoded sketch that is only merged, or a group
@@ -86,20 +91,21 @@ class ReqSketch(estimator.Queries):
         self._khat = khat
         self._k_const = k_const
         self.schedule = schedule
-        if khat is not None:
-            self.N = operator.index(N0) if N0 is not None else max(P.initial_N(2), math.ceil(8 * khat))
-            self.k = P.k_of_N(khat, self.N, const=k_const)
-        else:
+        if khat is None:
             self.k = operator.index(k)
-            self.N = operator.index(N0) if N0 is not None else P.initial_N(self.k)
+            N = P.initial_N(self.k)
+        else:
+            N = max(P.initial_N(2), math.ceil(8 * khat))
+        self.N = operator.index(N0) if N0 is not None else N
         if self.N < 2:
             raise ValueError(f"N0 must be >= 2, got {N0}")
-        self.params = P.geometry(self.k, self.N)
+        self.k = self._k_at(self.N)
+        self.B = P.geometry(self.k, self.N)
         self.levels: List[RelativeCompactor] = [RelativeCompactor()]
         self.n = 0
         # Smallest buffer size ever in force (here or in any merged-in
         # operand): ranks <= _min_B/2 are deterministically exact.
-        self._min_B = self.params.B
+        self._min_B = self.B
         self._rng_src: Union[int, np.random.SeedSequence, Pcg64Fields] = seed
 
     # ------------------------------------------------------------ constructors
@@ -132,10 +138,6 @@ class ReqSketch(estimator.Queries):
     # ------------------------------------------------------------------ sizing
 
     @property
-    def B(self) -> int:
-        return self.params.B
-
-    @property
     def num_levels(self) -> int:
         return len(self.levels)
 
@@ -155,18 +157,13 @@ class ReqSketch(estimator.Queries):
     # ------------------------------------------------------------------ update
 
     def update(self, values: Iterable[float] | np.ndarray | float) -> "ReqSketch":
-        """Insert a batch (or a single item) into the stream."""
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        arr = arr.ravel()
-        if np.any(np.isnan(arr)):
-            raise ValueError("NaN items are not totally ordered; refusing to insert")
-        self._view = None
+        """Insert a batch (or a single item) into the stream.  The sketch
+        keeps a copy of the items, not the caller's array."""
+        arr = self._intake(values)
         pos, total = 0, arr.size
         while pos < total:
             lv0 = self.levels[0]
-            room = self.params.B - len(lv0)
+            room = self.B - len(lv0)
             if room <= 0:
                 self._compact_cascade(top=0)
                 continue
@@ -177,7 +174,7 @@ class ReqSketch(estimator.Queries):
             pos += take
             self.n += take
             self._grow_to(self.n)
-        if len(self.levels[0]) >= self.params.B:
+        if len(self.levels[0]) >= self.B:
             self._compact_cascade(top=0)
         return self
 
@@ -186,36 +183,32 @@ class ReqSketch(estimator.Queries):
     def merge(self, other: "ReqSketch") -> "ReqSketch":
         """Merge ``other`` into ``self`` (Algorithm 4).
 
-        ``other`` is unchanged; the target may share read-only level
-        arrays with it.  ``other`` is copied only when it is ``self`` or
-        when App. C's special compaction will move its items.  Both
-        operands must share the section-size policy (identical fixed k,
-        or identical k-hat) and schedule flavour.
+        ``other`` is unchanged, and is never copied: the merge reads a
+        snapshot of its levels' (schedule state, items), which stays
+        valid while ``self`` changes, as no code writes into a level
+        array in place; so ``other`` may be ``self``.  The target may
+        share read-only level arrays with it.  Both operands must share
+        the section-size policy (identical fixed k, or identical k-hat)
+        and schedule flavour.
         """
         self._check_mergeable(other)
-        if other.n == 0:
-            return self
-        src = other.copy() if other is self else other
-        # Lines 2-5, with self carrying the larger parameter epoch (the
-        # paper swaps operands; we grow self).  ``_absorb`` repeats them,
-        # with nothing left to do: the special compaction below reads the
-        # grown N and draws after the growth's compactions.
-        self._grow_to(max(src.N, self.n + src.n))
-        # Lines 6-7: source's parameters lag behind - special-compact it
-        # once with its OWN (old) geometry before adopting buffers.
-        if src.N < self.N and src._special_compaction_moves():
-            if src is other:
-                src = other.copy()
-            src._special_compact_all(self.rng)
-        self._absorb(src.n, src._min_B, [(lv.state, lv.values()) for lv in src.levels])
+        if other.n:
+            self._absorb(other.n, other.N, other._min_B, [(lv.state, lv.values()) for lv in other.levels])
         return self
 
-    def _absorb(self, n: int, min_B: int, levels: List[Tuple[int, np.ndarray]]) -> None:
-        """Lines 1-5 and 8-17 of Algorithm 4 for an operand of ``n`` items
-        with ``levels`` = (schedule state, items) per level that needs no
-        special compaction: grow until N covers the combined input, count
-        its items, take its ``min_B``, OR each level's state into this
-        sketch's and append its items, then one bottom-up pass.
+    def _absorb(self, n: int, N: int, min_B: int, levels: List[Tuple[int, np.ndarray]]) -> None:
+        """Algorithm 4 for an operand of ``n`` items, bound ``N``,
+        smallest buffer size ``min_B`` and ``levels`` = (schedule state,
+        items) per level.
+
+        Lines 2-5: grow until N covers the operand's N and the combined
+        input (the paper swaps operands so that the larger epoch is the
+        target's; we grow the target).  Lines 6-7: an operand whose N lags
+        behind is special-compacted with its OWN buffer size, on new
+        levels over its arrays, after the growth has drawn its coins.
+        Lines 8-17: count its items, take its ``min_B``, OR each level's
+        state into this sketch's and append its items, then one bottom-up
+        pass.
 
         ``merge`` calls it once per operand.  ``serde.merge_column`` calls
         it for one-level operands in state 0 whose N is at most this
@@ -226,7 +219,11 @@ class ReqSketch(estimator.Queries):
         find level 0 below B and compact nothing, so a run gives the
         bytes that merging its operands one by one gives."""
         self._view = None
-        self._grow_to(self.n + n)
+        self._grow_to(max(N, self.n + n))
+        if N < self.N and len(levels) > 1:
+            lagging = [RelativeCompactor(state, items) for state, items in levels]
+            self._special_compact(lagging, P.geometry(self._k_at(N), N))
+            levels = [(lv.state, lv.values()) for lv in lagging]
         self.n += n
         self._min_B = min(self._min_B, min_B)
         while len(self.levels) < len(levels):
@@ -267,7 +264,7 @@ class ReqSketch(estimator.Queries):
         and its generator is built from ``rng_src`` at its first draw."""
         sk = cls.__new__(cls)
         sk.schedule, sk.k, sk._khat, sk._k_const, sk.N = schedule, k, khat, k_const, N
-        sk.params = P.geometry(k, N)
+        sk.B = P.geometry(k, N)
         sk.n, sk._min_B, sk._rng_src = n, min_B, rng_src
         sk.levels = [RelativeCompactor(state, items) for state, items in levels]
         return sk
@@ -304,12 +301,6 @@ class ReqSketch(estimator.Queries):
             raise ValueError(f"only a PCG64 generator can be saved, not {st['bit_generator']}")
         return st["state"]["state"], st["state"]["inc"], st["has_uint32"], st["uinteger"]
 
-    # ----------------------------------------------------------------- queries
-
-    def level_arrays(self) -> List[Tuple[int, np.ndarray]]:
-        """(weight, unsorted items) per level — the Estimate-Rank coreset."""
-        return [(1 << h, lv.values()) for h, lv in enumerate(self.levels)]
-
     # --------------------------------------------------------------- internals
 
     def _check_mergeable(self, other: "ReqSketch") -> None:
@@ -342,7 +333,7 @@ class ReqSketch(estimator.Queries):
         h = 0
         while h < len(self.levels):
             lv = self.levels[h]
-            if len(lv) >= self.params.B:
+            if len(lv) >= self.B:
                 promoted = lv.compact(self.rng, self._scheduled_start(lv.state))
                 if h + 1 == len(self.levels):
                     self.levels.append(RelativeCompactor())
@@ -355,36 +346,39 @@ class ReqSketch(estimator.Queries):
         """The slot a full level with schedule state ``state`` = C starts
         its compaction at: B - L with L = (z(C)+1)*k, or L = B/2 under
         the "all" schedule."""
-        p = self.params
+        B, k = self.B, self.k
         if self.schedule == "all":
-            start = p.B // 2
+            start = B // 2
         else:
-            start = p.B - sections_to_compact(state, p.num_sections) * p.k
-        # start >= B/2 always: at most num_sections sections, B = 2*k*num_sections.
-        assert start >= p.B // 2, (start, p.B)
+            start = B - sections_to_compact(state, B // (2 * k)) * k
+        # start >= B/2 always: at most B/(2k) sections of k items.
+        assert start >= B // 2, (start, B)
         return start
 
-    def _special_compact_all(self, rng: np.random.Generator) -> None:
-        """App.-C special compactions: shrink every non-top level to <= B/2.
-        A level with at most B/2 + 1 items is left alone: the even range
-        above B/2 that it could compact is empty."""
-        half = self.params.B // 2
-        for lv, above in zip(self.levels, self.levels[1:]):
+    def _special_compact(self, levels: List[RelativeCompactor], B: int) -> None:
+        """App.-C special compactions of ``levels`` under buffer size
+        ``B``: shrink every non-top level to <= B/2, bottom up.  A level
+        with at most B/2 + 1 items is left alone: the even range above B/2
+        that it could compact is empty.  Growth runs it on this sketch's
+        levels, and a merge on a lagging operand's, with the operand's B."""
+        half = B // 2
+        for lv, above in zip(levels, levels[1:]):
             if len(lv) > half + 1:
-                above.append(lv.compact(rng, half))
+                above.append(lv.compact(self.rng, half))
 
-    def _special_compaction_moves(self) -> bool:
-        """Whether ``_special_compact_all`` would change this sketch.  If
-        no non-top level moves items, none receives any, so none moves."""
-        return any(len(lv) > self.params.B // 2 + 1 for lv in self.levels[:-1])
+    def _k_at(self, N: int) -> int:
+        """The section size of the epoch with bound ``N``: the fixed k, or
+        k(N) of Eq. (15)."""
+        if self._khat is None:
+            return self.k
+        return P.k_of_N(self._khat, N, const=self._k_const)
 
     def _grow_once(self) -> None:
         """One parameter-epoch step: special compactions, then N <- N^2."""
-        self._special_compact_all(self.rng)
+        self._special_compact(self.levels, self.B)
         self.N = P.next_N(self.N)
-        if self._khat is not None:
-            self.k = P.k_of_N(self._khat, self.N, const=self._k_const)
-        self.params = P.geometry(self.k, self.N)
+        self.k = self._k_at(self.N)
+        self.B = P.geometry(self.k, self.N)
         # The top level received promotions and new B may still be
         # exceeded in pathological cases; restore capacity.
         self._compact_cascade(top=len(self.levels) - 1)

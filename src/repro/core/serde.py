@@ -25,7 +25,7 @@ It accepts any bytes-like object and copies only one that is not
 ``bytes``: a decoded sketch's level arrays are read-only views of the
 blob (``RelativeCompactor`` never writes into a level array in place),
 so they must not see a caller's later writes.  The capacity checks use
-the epoch geometry the sketch itself is built with (``params.geometry``).
+the buffer size B the sketch itself is built with (``params.geometry``).
 
 ``from_bytes`` is the decoder of one blob and the reference for the
 column decoder.  ``decode_column`` reads the offsets and data buffers of
@@ -172,7 +172,7 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
         raise ValueError(f"k-hat must be finite and positive, got {khat}")
     elif k != (k_N := _k_of_N(khat, N, k_const)):
         raise ValueError(f"k = {k} is not k(N) = {k_N}")
-    B = P.geometry(k, N).B
+    B = P.geometry(k, N)
     if not 0 < min_B <= B:
         raise ValueError(f"need 0 < min_B <= B = {B}, got {min_B}")
     if h.has_uint32 > 1:
@@ -268,13 +268,13 @@ def _gather(data: np.ndarray, at: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 
 def _buffer_sizes(k: np.ndarray, N_lo: np.ndarray, N_hi: np.ndarray) -> np.ndarray:
-    """B = ``params.geometry(k, N).B`` per row (every k even and >= 2),
+    """B = ``params.geometry(k, N)`` per row (every k even and >= 2),
     computed once per distinct (k, N): a column holds few."""
     order = np.lexsort((N_hi, N_lo, k))
     keys = [k[order], N_lo[order], N_hi[order]]
     new = np.ones(order.size, bool)
     new[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
-    Bs = [P.geometry(kk, lo | hi << 64).B for kk, lo, hi in zip(*(key[new].tolist() for key in keys))]
+    Bs = [P.geometry(kk, lo | hi << 64) for kk, lo, hi in zip(*(key[new].tolist() for key in keys))]
     B = np.empty(order.size, np.uint64)
     B[order] = np.array(Bs, np.uint64)[np.cumsum(new) - 1]
     return B
@@ -381,13 +381,13 @@ def merge_column(array) -> ReqSketch:
     blobs])``.  An operand with one level in state 0 and n > 0, of fixed
     k with the accumulator's k and schedule (a fixed-k merge reads no
     other parameter) and an N no larger than its N needs no special
-    compaction, and its merge grows the accumulator if need be and
-    appends its items to level 0 (``ReqSketch._absorb``).  Such operands
-    are merged without a sketch of their own: one at a time where one
-    grows the accumulator, and otherwise a run at once, up to the
-    operand at which level 0 reaches B.  Every other operand goes
-    through ``ReqSketch.merge``.  Raises ``ValueError`` for an empty
-    column.
+    compaction, and its merge (``ReqSketch._absorb``, given the
+    operand's N) grows the accumulator if need be and appends its items
+    to level 0.  Such operands are merged without a sketch of their
+    own: one at a time where one grows the accumulator, and otherwise a
+    run at once, given the run's largest N, up to the operand at which
+    level 0 reaches B.  Every other operand goes through
+    ``ReqSketch.merge``.  Raises ``ValueError`` for an empty column.
     """
     col = decode_column(array)
     if not len(col):
@@ -406,7 +406,7 @@ def merge_column(array) -> ReqSketch:
         """Merge rows lo..hi-1, plain operands of ``count`` items in all."""
         if count:
             run = col.items[item_lo[lo] : item_lo[hi]]
-            acc._absorb(count, int(min_Bs[lo:hi].min()), [(0, run)])
+            acc._absorb(count, max(Ns[lo:hi]), int(min_Bs[lo:hi].min()), [(0, run)])
 
     lo, count = 1, 0  # the pending run: rows lo..i-1, ``count`` items
     for i in range(1, len(col)):

@@ -4,7 +4,7 @@ A level (``RelativeCompactor``) holds items and a schedule state and
 compacts from the slot it is given; the sketch owns the geometry and
 the schedule, so the slot a full level compacts from is
 ``ReqSketch._scheduled_start`` (the trailing-ones schedule, or B/2 under
-"all"), and App. C's special compaction is ``_special_compact_all``."""
+"all"), and App. C's special compaction is ``_special_compact``."""
 import numpy as np
 import pytest
 
@@ -19,9 +19,9 @@ def filled(n, state=0):
 
 def make(k=4, sections=3, schedule="req"):
     """An empty sketch whose epoch has ``sections`` sections of ``k``
-    items: num_sections = ceil(log2(N/k)) + 1."""
+    items: num_sections = ceil(log2(N/k)) + 1 and B = 2 * k * sections."""
     sk = ReqSketch(k, schedule=schedule, N0=k * 2 ** (sections - 1))
-    assert sk.params.num_sections == sections
+    assert (sk.k, sk.B) == (k, 2 * k * sections)
     return sk
 
 
@@ -172,39 +172,42 @@ class TestScheduledCompaction:
 
 
 class TestSpecialCompaction:
-    """App. C: every non-top level compacts from B/2 when that moves items."""
+    """App. C: every non-top level compacts from B/2 when that moves items,
+    under the B it is given: the sketch's own, or a lagging operand's."""
 
-    def with_level0(self, n):
+    def special(self, *sizes, B=24):
+        """The level sizes and level-0 state after a special compaction,
+        under ``B``, of levels holding ``sizes`` items."""
         sk = make(k=4, sections=3)
-        sk.levels = [filled(n), RelativeCompactor()]
-        return sk
+        levels = [filled(n) for n in sizes]
+        sk._special_compact(levels, B)
+        return [len(lv) for lv in levels], levels[0].state
 
     def test_noop_below_half(self):
-        sk = self.with_level0(12)
-        assert not sk._special_compaction_moves()
-        sk._special_compact_all(np.random.default_rng(0))
-        assert [len(lv) for lv in sk.levels] == [12, 0] and sk.levels[0].state == 0
+        assert self.special(12, 0) == ([12, 0], 0)
 
     def test_noop_single_item_above_half(self):
-        sk = self.with_level0(13)  # even range impossible
-        assert not sk._special_compaction_moves()
-        sk._special_compact_all(np.random.default_rng(0))
-        assert [len(lv) for lv in sk.levels] == [13, 0] and sk.levels[0].state == 0
+        assert self.special(13, 0) == ([13, 0], 0)  # even range impossible
 
     def test_compacts_down_to_half(self):
-        sk = self.with_level0(22)  # below capacity, above half
-        assert sk._special_compaction_moves()
-        sk._special_compact_all(np.random.default_rng(0))
+        sk = make(k=4, sections=3)
+        sk.levels = [filled(22), RelativeCompactor()]  # below capacity, above half
+        sk._special_compact(sk.levels, sk.B)
         assert [len(lv) for lv in sk.levels] == [12, 5]
         assert sk.levels[0].state == 1
         assert set(sk.levels[0].values()) == set(range(12))
 
     def test_top_level_untouched(self):
-        sk = self.with_level0(5)
-        sk.levels[1].append(np.arange(20.0))
-        assert not sk._special_compaction_moves()
-        sk._special_compact_all(np.random.default_rng(0))
-        assert [len(lv) for lv in sk.levels] == [5, 20]
+        assert self.special(5, 20) == ([5, 20], 0)
+
+    def test_cascades_up(self):
+        """A level that a promotion lifts above B/2 + 1 compacts in turn."""
+        assert self.special(22, 10, 0) == ([12, 13, 1], 1)
+
+    def test_given_buffer_size(self):
+        """The B given, not the sketch's, sets the half."""
+        assert self.special(22, 0, B=48) == ([22, 0], 0)
+        assert self.special(22, 0, B=16) == ([8, 7], 1)
 
 
 class TestAllSchedule:

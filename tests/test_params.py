@@ -110,18 +110,21 @@ class TestGeometry:
         with pytest.raises(ValueError):
             P.next_N(1)
 
-    def test_compactor_params(self):
-        p = P.CompactorParams(8, 5)
-        assert p.B == 80
+    def test_geometry(self):
+        """B of an epoch: num_sections_mergeable(N, k) sections of k items."""
+        for k, N in ((8, 64), (8, 1 << 20), (2, 3), (64, 10 ** 30)):
+            assert P.geometry(k, N) == P.buffer_size(k, P.num_sections_mergeable(N, k))
+        assert P.geometry(8, 128) == 80  # ceil(log2(16) + 1) = 5 sections
         with pytest.raises(ValueError):
-            P.CompactorParams(7, 5)
+            P.geometry(7, 128)
         with pytest.raises(ValueError):
-            P.CompactorParams(8, 0)
+            P.buffer_size(8, 0)
 
     def test_L_max_is_half_buffer(self):
         """Observation 17 consequence: compacting all sections takes
-        exactly the top half of the buffer, never more."""
+        exactly the top half of the buffer, never more; the section count
+        is B // (2k)."""
         for k in (2, 8, 64):
             for s in (1, 3, 9):
-                p = P.CompactorParams(k, s)
-                assert s * k == p.B // 2
+                B = P.buffer_size(k, s)
+                assert s * k == B // 2 and B // (2 * k) == s

@@ -43,7 +43,7 @@ def _full_walk_cascade(self, top=None):
     h = 0
     while h < len(self.levels):
         lv = self.levels[h]
-        if len(lv) >= self.params.B:
+        if len(lv) >= self.B:
             promoted = lv.compact(self.rng, self._scheduled_start(lv.state))
             if h + 1 == len(self.levels):
                 self.levels.append(RelativeCompactor())
@@ -55,26 +55,26 @@ def _run(monkeypatch, scenario, compact=RelativeCompactor.compact, cascade=None)
     """Run ``scenario`` with ``compact`` (and ``cascade``, if given)
     installed; return the sketch and, in order, every compaction's (kind,
     start slot, promoted items), kind "scheduled" or "special", with a
-    ("special pass", None, no items) entry where each App.-C pass begins."""
+    ("special pass", its B, no items) entry where each App.-C pass begins."""
     log, kind = [], ["scheduled"]
-    special_compact_all = ReqSketch._special_compact_all
+    special_compact = ReqSketch._special_compact
 
     def recording(self, rng, start):
         out = compact(self, rng, start)
         log.append((kind[0], start, out.copy()))
         return out
 
-    def flagging(self, rng):
-        log.append(("special pass", None, np.empty(0)))
+    def flagging(self, levels, B):
+        log.append(("special pass", B, np.empty(0)))
         kind[0] = "special"
         try:
-            special_compact_all(self, rng)
+            special_compact(self, levels, B)
         finally:
             kind[0] = "scheduled"
 
     with monkeypatch.context() as m:
         m.setattr(RelativeCompactor, "compact", recording)
-        m.setattr(ReqSketch, "_special_compact_all", flagging)
+        m.setattr(ReqSketch, "_special_compact", flagging)
         if cascade is not None:
             m.setattr(ReqSketch, "_compact_cascade", cascade)
         sk = scenario()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactRanks, relative_errors
-from repro.core import serde
+from repro.core import params as P, serde
 from repro.core.req_sketch import ReqSketch
 from repro.synth_data import stream_array
 
@@ -89,15 +89,17 @@ def _epoch_case(case, decoded):
         assert np.any(np.diff(b.levels[0].values()) < 0)
     else:
         assert b.N < a.N
-        assert b._special_compaction_moves() == (case == "lower_epoch_special")
+        # App. C's special compaction of b, under b's own B, moves items.
+        moves = any(len(lv) > b.B // 2 + 1 for lv in b.levels[:-1])
+        assert moves == (case == "lower_epoch_special")
     if decoded:
         a, b = serde.from_bytes(serde.to_bytes(a)), serde.from_bytes(serde.to_bytes(b))
     return a, b
 
 
 class TestMergeWithoutCopy:
-    """``merge`` reads its source in place; it copies it only when the
-    source is the target or App. C's special compaction would move items."""
+    """``merge`` reads its source in place, also when the source is the
+    target or App. C's special compaction moves its items."""
 
     @pytest.mark.parametrize("decoded", [False, True])
     @pytest.mark.parametrize("case", EPOCH_CASES)
@@ -140,6 +142,48 @@ class TestMergeWithoutCopy:
         source = serde.to_bytes(b)
         a.merge(c).update(more)
         assert serde.to_bytes(b) == source
+
+
+POLICIES = {
+    "fixed": lambda seed, schedule: ReqSketch(8, seed=seed, schedule=schedule),
+    "adaptive": lambda seed, schedule: ReqSketch(
+        seed=seed, schedule=schedule, khat=P.khat_mergeable(0.1, 0.1), k_const=2
+    ),
+}
+
+
+@pytest.mark.parametrize("schedule", ["req", "all"])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("case", EPOCH_CASES + ["self_merge"])
+def test_merge_reads_its_operand_without_copying(monkeypatch, case, policy, schedule):
+    """``merge`` calls ``copy`` zero times, leaves its operand's bytes
+    unchanged and gives the bytes of merging a copy of the operand, for
+    every epoch relation and a self-merge."""
+    make = POLICIES[policy]
+
+    def operands():
+        if case == "self_merge":
+            a = make(90, schedule).update(stream_array("uniform", 20_000, seed=90))
+            return a, a
+        a, b = (make(90 + i, schedule).update(stream_array("uniform", n, seed=90 + i))
+                for i, n in enumerate(EPOCH_SIZES[case]))
+        relation = {"same_epoch": b.N == a.N, "higher_epoch": b.N > a.N, "empty_target": a.n == 0}
+        assert relation.get(case, b.N < a.N)
+        return a, b
+
+    a2, b2 = operands()
+    expected = serde.to_bytes(a2.merge(b2.copy()))
+    a, b = operands()
+    before = serde.to_bytes(b)
+    copies = []
+    copy = ReqSketch.copy
+    monkeypatch.setattr(ReqSketch, "copy", lambda sk: copies.append(sk) or copy(sk))
+    a.merge(b)
+    monkeypatch.undo()
+    assert copies == []
+    assert serde.to_bytes(a) == expected
+    if b is not a:
+        assert serde.to_bytes(b) == before
 
 
 class TestMergeCompatibility:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactRanks, relative_errors
+from repro.baselines.kll import KllSketch
 from repro.core import params as P, serde
 from repro.core.req_sketch import ReqSketch
 from repro.synth_data import stream_array
@@ -302,3 +303,32 @@ class TestCopy:
                 assert [(lv.state, len(lv)) for lv in cp.levels] == [(lv.state, len(lv)) for lv in value]
             else:
                 assert getattr(cp, name) == value, name
+
+
+def _contents(sk):
+    """n and every level's (weight, sorted items) of a sketch."""
+    return sk.n, [(w, np.sort(a).tolist()) for w, a in sk.level_arrays()]
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ReqSketch(8, seed=5), lambda: KllSketch(200, seed=5)], ids=["req", "kll"]
+)
+class TestUpdateOwnsItsItems:
+    """``update`` keeps a copy of its input: writes into the caller's array
+    afterwards change neither the sketch nor a merge target of it."""
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["updated", "merged"])
+    @pytest.mark.parametrize("fill", [100.0, -1.0, np.nan])
+    @pytest.mark.parametrize("n", [10, 3_010])
+    def test_later_writes_not_seen(self, make, n, fill, merged):
+        data = stream_array("uniform", n, seed=6)
+        given = data.copy()
+        sk = make().update(given)
+        target = make().merge(sk) if merged else None
+        given[:] = fill
+        ref = make().update(data)
+        assert _contents(sk) == _contents(ref)
+        if merged:
+            assert _contents(target) == _contents(make().merge(ref))
+        if isinstance(sk, ReqSketch):
+            assert serde.to_bytes(serde.from_bytes(serde.to_bytes(sk))) == serde.to_bytes(ref)

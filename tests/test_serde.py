@@ -407,7 +407,7 @@ class TestMalformed:
     def test_N_below_2_rejected_for_an_empty_sketch(self):
         # N0 = 2 makes min_B the B of N = 1 too, so only the N check fails.
         sk = ReqSketch(4, N0=2)
-        assert sk.B == params.geometry(4, 1).B
+        assert sk.B == params.geometry(4, 1)
         _rejected(_patched(serde.to_bytes(sk), 22, "<Q", 1), "2 <= N")
 
     def test_weight_beyond_64_bits_rejected(self):
