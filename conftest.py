@@ -51,6 +51,14 @@ import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
 
+def pytest_collection_modifyitems(items) -> None:
+    """Mark ``spark`` every test whose fixtures include ``spark``, so that
+    ``pytest -m "not spark"`` runs the rest without starting a JVM."""
+    for item in items:
+        if "spark" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.spark)
+
+
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.

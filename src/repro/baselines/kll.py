@@ -48,13 +48,6 @@ class KllSketch(estimator.Queries):
         height = len(self.levels) - 1
         return max(self.MIN_CAP, int(math.ceil(self.k * self.DECAY ** (height - h))))
 
-    def num_retained(self) -> int:
-        return sum(len(lv) for lv in self.levels)
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
     # ------------------------------------------------------------------ update
 
     def update(self, values: Iterable[float] | np.ndarray | float) -> "KllSketch":

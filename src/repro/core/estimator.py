@@ -72,10 +72,10 @@ class SortedView:
 
 
 class Queries:
-    """Rank, CDF and quantile methods for a sketch with ``levels``.
+    """Rank, CDF, quantile and size methods for a sketch with ``levels``.
 
-    They read one ``SortedView`` cached in ``_view``; every method that
-    changes the retained items must reset ``_view`` to None.
+    The queries read one ``SortedView`` cached in ``_view``; every method
+    that changes the retained items must reset ``_view`` to None.
     """
 
     _view: Optional[SortedView] = None
@@ -89,6 +89,14 @@ class Queries:
             raise ValueError("NaN items are not totally ordered; refusing to insert")
         self._view = None
         return arr
+
+    @property
+    def num_levels(self) -> int:
+        return len(self.levels)
+
+    def num_retained(self) -> int:
+        """Universe items currently stored — the paper's space measure."""
+        return sum(len(lv) for lv in self.levels)
 
     def level_arrays(self) -> List[Tuple[int, np.ndarray]]:
         """(weight, unsorted items) per level — the Estimate-Rank coreset."""

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+K_CONST = 2 ** 5  # Eq. (15)'s constant; the k_const of every fixed-k sketch
+
 
 def _even_at_least(x: float, lo: int = 2) -> int:
     """Round up to an even integer, at least ``lo`` (itself even)."""
@@ -44,11 +46,11 @@ def khat_mergeable(eps: float, delta: float) -> float:
     return (1.0 / eps) * math.sqrt(math.log(1.0 / delta))
 
 
-def k_of_N(khat: float, N: int, *, const: int = 2 ** 5) -> int:
+def k_of_N(khat: float, N: int, *, const: int = K_CONST) -> int:
     """Section size per Eq. (15): k(N) = const * ceil(khat / sqrt(log2(N/khat))).
 
-    ``const`` defaults to the paper's 2^5; experiments may pass a smaller
-    constant (documented in DESIGN.md) since theorem constants are loose.
+    ``const`` defaults to the paper's ``K_CONST``; experiments may pass a
+    smaller constant (DESIGN.md) since theorem constants are loose.
     """
     if khat <= 0:
         raise ValueError(f"khat must be positive, got {khat}")
@@ -103,8 +105,8 @@ def geometry(k: int, N: int) -> int:
 
     The one place an epoch's geometry is derived: the ``ReqSketch``
     constructor, its growth step, its merge of a lagging operand and the
-    decoder's capacity checks all call it.  Cached: a rollup decodes
-    thousands of blobs from the same few epochs.
+    decoders' capacity checks all call it.  Cached for the per-group
+    constructors; ``serde.decode_column`` asks once per distinct (k, N).
     """
     return buffer_size(k, num_sections_mergeable(N, k))
 

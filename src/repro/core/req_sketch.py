@@ -16,12 +16,12 @@ h+1, where items count with weight 2^h.  The sketch supports
 * rank / CDF / quantile queries through one cached sorted view of the
   weighted coreset of all levels (``estimator.Queries``).
 
-Two parameterizations:
+Two section-size policies, one per sketch:
 
 * ``ReqSketch(k=...)`` — fixed even section size k (DataSketches
   practice); buffers grow only via num_sections as N squares.
-* ``ReqSketch.from_error_mergeable(eps, delta)`` — adaptive k(N) per the
-  paper's Eq. (15), recomputed at every N growth.
+* ``ReqSketch(khat=...)`` or ``from_error_mergeable(eps, delta)`` —
+  adaptive k(N) per the paper's Eq. (15), recomputed at every N growth.
 
 ``schedule="all"`` turns the instance into the paper's naive
 protect-half strawman (always compact the whole top half) with the
@@ -61,16 +61,19 @@ class ReqSketch(estimator.Queries):
 
     def __init__(
         self,
-        k: int = 32,
+        k: Optional[int] = None,
         *,
+        khat: Optional[float] = None,
+        k_const: Optional[int] = None,
         seed: Union[int, np.random.SeedSequence] = 0,
         schedule: str = "req",
-        khat: Optional[float] = None,
-        k_const: int = 2 ** 5,
         N0: Optional[int] = None,
     ) -> None:
-        """An empty sketch with fixed section size ``k``, or adaptive k(N)
-        from ``khat`` and ``k_const`` (Eq. (15)) when ``khat`` is given.
+        """An empty sketch with fixed section size ``k`` (32 if neither
+        ``k`` nor ``khat`` is given), or adaptive k(N) from ``khat`` and
+        ``k_const`` (Eq. (15); ``k_const`` defaults to ``params.K_CONST``).
+        Passing ``k`` with ``khat``, or ``k_const`` without it, raises
+        ``TypeError``: a sketch has one section-size policy.
 
         ``k`` and ``k_const`` are integers (``TypeError`` otherwise): an
         even ``k`` >= 2 and a positive ``k_const``.  ``seed`` (a
@@ -79,20 +82,24 @@ class ReqSketch(estimator.Queries):
         a ready one.  ``N0``, an integer of at least 2 (``TypeError`` for
         one that is not an integer), overrides the initial bound on n.
         """
+        if khat is not None and k is not None:
+            raise TypeError("pass a fixed k or a khat, not both")
+        if khat is None and k_const is not None:
+            raise TypeError("k_const sets k(N) of Eq. (15): pass it with khat, not with a fixed k")
         if schedule not in ("req", "all"):
             raise ValueError(f"schedule must be 'req' or 'all', got {schedule!r}")
         # Checked here, as the generator is built only at the first draw.
         # A type and sign check: building a SeedSequence costs microseconds.
         if not isinstance(seed, np.random.SeedSequence) and operator.index(seed) < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        k_const = operator.index(k_const)
+        k_const = P.K_CONST if k_const is None else operator.index(k_const)
         if k_const <= 0:
             raise ValueError(f"k_const must be a positive integer, got {k_const}")
         self._khat = khat
         self._k_const = k_const
         self.schedule = schedule
         if khat is None:
-            self.k = operator.index(k)
+            self.k = 32 if k is None else operator.index(k)
             N = P.initial_N(self.k)
         else:
             N = max(P.initial_N(2), math.ceil(8 * khat))
@@ -118,12 +125,12 @@ class ReqSketch(estimator.Queries):
 
     @classmethod
     def from_error_mergeable(
-        cls, eps: float, delta: float, *, seed: int = 0, k_const: int = 2 ** 5
+        cls, eps: float, delta: float, *, seed: int = 0, k_const: int = P.K_CONST
     ) -> "ReqSketch":
         """Unknown-n parameterization per Eqs. (15)/(25); k adapts as N grows.
 
-        ``k_const`` defaults to the paper's proof constant 2^5; pass a
-        smaller even factor for practical space (DESIGN.md).
+        ``k_const`` defaults to the paper's proof constant ``K_CONST``;
+        pass a smaller even factor for practical space (DESIGN.md).
         """
         return cls(seed=seed, khat=P.khat_mergeable(eps, delta), k_const=k_const)
 
@@ -136,14 +143,6 @@ class ReqSketch(estimator.Queries):
         return cls(k, seed=seed, N0=max(n, P.initial_N(k)))
 
     # ------------------------------------------------------------------ sizing
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    def num_retained(self) -> int:
-        """Universe items currently stored — the paper's space measure."""
-        return sum(len(lv) for lv in self.levels)
 
     @property
     def protected_head(self) -> int:
@@ -160,22 +159,17 @@ class ReqSketch(estimator.Queries):
         """Insert a batch (or a single item) into the stream.  The sketch
         keeps a copy of the items, not the caller's array."""
         arr = self._intake(values)
-        pos, total = 0, arr.size
+        pos, total, lv0 = 0, arr.size, self.levels[0]
         while pos < total:
-            lv0 = self.levels[0]
-            room = self.B - len(lv0)
-            if room <= 0:
-                self._compact_cascade(top=0)
-                continue
-            # Stop at the item where n first exceeds N, so growth runs at
-            # the same fill level however the stream is split into calls.
-            take = min(room, total - pos, max(1, self.N - self.n + 1))
+            # Level 0 is below B at rest.  Stop where n first exceeds N, so
+            # growth runs at the same fill level however calls split the stream.
+            take = min(self.B - len(lv0), total - pos, max(1, self.N - self.n + 1))
             lv0.append(arr[pos : pos + take])
             pos += take
             self.n += take
             self._grow_to(self.n)
-        if len(self.levels[0]) >= self.B:
-            self._compact_cascade(top=0)
+            if len(lv0) >= self.B:
+                self._compact_cascade(top=0)
         return self
 
     # ------------------------------------------------------------------- merge
@@ -245,9 +239,10 @@ class ReqSketch(estimator.Queries):
     def _state(self) -> tuple:
         """The whole state: ``(schedule, k, k-hat, k_const, N, n, min_B,
         generator source, [(schedule state, items) per level])``, k-hat
-        None for a fixed k.  The source is the generator's PCG64 fields
-        once it is built.  ``copy`` and ``serde`` read a sketch only
-        through this, and ``_from_state`` rebuilds it."""
+        None and k_const ``params.K_CONST`` for a fixed k.  The source is
+        the generator's PCG64 fields once it is built.  ``copy`` and
+        ``serde`` read a sketch only through this, and ``_from_state``
+        rebuilds it."""
         return (
             self.schedule, self.k, self._khat, self._k_const, self.N, self.n, self._min_B,
             self._rng_src if self._rng is None else self._rng_state(),

@@ -21,6 +21,8 @@ The sort is stable, so a decoded sketch re-encodes byte for byte.
 Versions 1 and 2, retired formats, have no reader.  ``from_bytes``
 checks the whole blob before it builds a sketch and raises
 ``ValueError`` on any malformed input, a level out of order included.
+It accepts only states a sketch can reach: no level holds B items, as
+none does at rest, and a fixed-k blob's k_const is ``params.K_CONST``.
 It accepts any bytes-like object and copies only one that is not
 ``bytes``: a decoded sketch's level arrays are read-only views of the
 blob (``RelativeCompactor`` never writes into a level array in place),
@@ -85,7 +87,8 @@ def _layout(*fields: Tuple[str, str]) -> Tuple[struct.Struct, np.dtype]:
 _HEAD, _HEAD_ROW = _layout(
     ("magic", "S4"), ("version", "u1"), ("sched", "u1"), ("k", "<u4"),
     ("khat", "<u8"),  # k-hat's float64 bits, _NAN_U64 for a fixed k
-    ("k_const", "<u4"), ("N_lo", "<u8"), ("N_hi", "<u8"), ("n", "<u8"), ("min_B", "<u8"),
+    ("k_const", "<u4"),  # params.K_CONST for a fixed k
+    ("N_lo", "<u8"), ("N_hi", "<u8"), ("n", "<u8"), ("min_B", "<u8"),
     ("L", "<u4"),  # level count
     # PCG64 state, inc, has_uint32 and uinteger
     ("s_lo", "<u8"), ("s_hi", "<u8"), ("i_lo", "<u8"), ("i_hi", "<u8"), ("has_uint32", "u1"), ("uinteger", "<u4"),
@@ -101,9 +104,9 @@ def to_bytes(sketch: ReqSketch) -> bytes:
     schedule, k, khat, k_const, N, n, min_B, rng_src, levels = sketch._state()
     if N >> 128:
         raise ValueError(f"N = {N} does not fit the format's 128 bits")
-    for name, value in (("k", k), ("k_const", k_const)):
-        if value >> 32:
-            raise ValueError(f"{name} = {value} does not fit the format's 32 bits")
+    # k_const needs no check: it is K_CONST for a fixed k, and k(N) >= k_const.
+    if k >> 32:
+        raise ValueError(f"k = {k} does not fit the format's 32 bits")
     # A sketch that never drew may hold a seed, not PCG64 fields.
     state, inc, has_uint32, uinteger = rng_src if isinstance(rng_src, tuple) else sketch._rng_state()
     items = [np.sort(v, kind="stable") for _, v in levels]
@@ -165,7 +168,8 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
     if N < 2 or n > N:
         raise ValueError(f"need 2 <= N and n <= N, got N = {N}, n = {n}")
     if khat is None:
-        pass
+        if k_const != P.K_CONST:
+            raise ValueError(f"k_const of a fixed-k sketch must be {P.K_CONST}, got {k_const}")
     elif math.isnan(khat):
         raise ValueError("k-hat of a fixed-k sketch must be the canonical NaN")
     elif not (math.isfinite(khat) and khat > 0):
@@ -181,26 +185,17 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
         raise ValueError("PCG64 increment must be odd")
     if L == 0:
         raise ValueError("a sketch has at least one level")
-    if max(counts) > B:
-        raise ValueError(f"a level holds more than B = {B} items")
+    if max(counts) >= B:
+        raise ValueError(f"a level holds B = {B} or more items")
     if sum(map(lshift, counts, range(L))) != n:
         raise ValueError(f"level weights do not sum to n = {n}")
     items = np.frombuffer(blob, _ITEM, total, table_end)
-    # One comparison finds both faults, as a NaN fails every comparison it
-    # is in, and count_nonzero is cheaper than all(): this runs once per
-    # blob, and a rollup decodes thousands of small blobs.  A lone item
-    # is in no comparison.
-    if total > 1:
-        clean = np.count_nonzero(items[1:] >= items[:-1]) == total - 1
-    else:
-        clean = not (total and math.isnan(items[0]))
-    if not clean:
-        if np.count_nonzero(np.isnan(items)):
-            raise ValueError("NaN item in sketch blob")
-        # A descent is allowed only where a level starts.
-        descents = np.flatnonzero(items[1:] < items[:-1]) + 1
-        if not set(ends).issuperset(descents.tolist()):
-            raise ValueError("a level's items are not in non-descending order")
+    if np.isnan(items).any():
+        raise ValueError("NaN item in sketch blob")
+    # A descent is allowed only where a level starts.
+    descents = np.flatnonzero(items[1:] < items[:-1]) + 1
+    if not set(ends).issuperset(descents.tolist()):
+        raise ValueError("a level's items are not in non-descending order")
     return ReqSketch._from_state(
         *state, [(lv_state, items[end - count : end]) for (lv_state, count), end in zip(levels, ends)]
     )
@@ -316,7 +311,8 @@ def decode_column(array) -> SketchColumn:
     )
     khat = head["khat"].view("<f8")
     fixed = np.isnan(khat)
-    good &= np.where(fixed, head["khat"] == _NAN_U64, np.isfinite(khat) & (khat > 0))
+    canonical = (head["khat"] == _NAN_U64) & (head["k_const"] == P.K_CONST)
+    good &= np.where(fixed, canonical, np.isfinite(khat) & (khat > 0))
     for i in np.flatnonzero(good & ~fixed).tolist():
         N = int(N_lo[i]) | int(N_hi[i]) << 64
         good[i] = int(k[i]) == _k_of_N(float(khat[i]), N, int(head["k_const"][i]))
@@ -336,7 +332,7 @@ def decode_column(array) -> SketchColumn:
     total = _segment_sums(counts, first, Lt).astype(np.int64)
     rest = sizes[rows[t]] - table_end[t]
     fit = (rest % _ITEM.itemsize == 0) & (rest // _ITEM.itemsize == total)
-    fit[owner[counts > B[t][owner]]] = False
+    fit[owner[counts >= B[t][owner]]] = False
     # Weights: count << h sums to n.  A term is below 2**64 where it can
     # be, and the sum is taken in 32-bit halves, so it is exact.
     small = (counts == 0) | ((h < 64) & (counts >> np.minimum(64 - h, 63).astype(np.uint64) == 0))

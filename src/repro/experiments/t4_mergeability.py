@@ -7,7 +7,7 @@ as one-pass streaming.  We build the sketch over TPC-H-lite
 ``lineitem.l_extendedprice`` five ways —
 
 * driver-side single stream (reference),
-* Spark ``mapInPandas`` partials + balanced merge tree (4/16/64 parts),
+* Spark ``mapInArrow`` partials + balanced merge tree (4/16/64 parts),
 * partials + *sequential* (maximally unbalanced) merge chain,
 * the same partials merged on executors by RDD ``treeReduce``,
 

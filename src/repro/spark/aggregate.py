@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -149,19 +149,22 @@ def build_sketch(
     k: int = 32,
     seed: int = 0,
     method: str = "map_partitions",
-    depth: int = 2,
+    depth: Optional[int] = None,
 ) -> ReqSketch:
     """Build a REQ sketch of ``df[col]`` with the chosen merge placement.
 
     ``method``: "map_partitions" (partials merged on the driver by
     ``merge_balanced``) or "tree_aggregate" (partials merged on
     executors by ``treeReduce``).
-    ``depth``: treeReduce depth (tree_aggregate only).
+    ``depth``: treeReduce depth, 2 when None; tree_aggregate only, so a
+    ``depth`` with "map_partitions" raises ``TypeError`` before any job.
     """
     if method == "tree_aggregate":
         # treeReduce raises ValueError on an empty RDD (no rows).
         blobs = _partial_blobs(df, col, k, seed).rdd.map(lambda r: r[0])
-        return serde.from_bytes(blobs.treeReduce(_merge_blobs, depth))
+        return serde.from_bytes(blobs.treeReduce(_merge_blobs, 2 if depth is None else depth))
     if method != "map_partitions":
         raise ValueError(f"unknown method {method!r}")
+    if depth is not None:
+        raise TypeError("depth is the treeReduce depth of method='tree_aggregate' only")
     return merge_balanced(partition_sketches(df, col, k=k, seed=seed))

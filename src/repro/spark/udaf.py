@@ -41,8 +41,8 @@ groups come back in no particular order.  Add
 
 Why not a real Catalyst UDAF: PySpark's GROUPED_AGG UDFs cannot
 carry partial aggregation state across partitions (no merge hook), and
-a JVM ``TypedImperativeAggregate`` needs a Scala build, which this
-pure-Python package does not have (see DESIGN.md).  So a group's values
+a JVM partial aggregate, which a JDK ``javac`` could compile, is not
+built yet (ROADMAP item 3; see DESIGN.md).  So a group's values
 are held whole in its ``collect_list`` until its sketch is built.
 """
 from __future__ import annotations

@@ -19,6 +19,11 @@ value_lists = st.lists(finite_floats, min_size=0, max_size=400)
 ks = st.sampled_from([2, 4, 8, 16])
 
 
+def _at_rest(sk):
+    """No level holds B or more items: every call leaves none full."""
+    return all(len(lv) < sk.B for lv in sk.levels)
+
+
 @settings(max_examples=60, deadline=None)
 @given(values=value_lists, k=ks, seed=st.integers(0, 2 ** 16))
 def test_req_weight_equals_n(values, k, seed):
@@ -69,9 +74,11 @@ def test_req_merge_any_grouping_conserves_weight(pieces, k, seed):
     sketches = [
         ReqSketch(k, seed=seed + i).update(np.array(p)) for i, p in enumerate(pieces)
     ]
+    assert all(map(_at_rest, sketches))
     acc = sketches[0]
     for s in sketches[1:]:
         acc = acc.merge(s)
+        assert _at_rest(acc)
     assert acc.total_weight() == total
 
 
@@ -119,17 +126,23 @@ def test_serde_roundtrip_property(values, k, seed):
 @given(
     n=st.integers(0, 3_000),
     cuts=st.lists(st.integers(0, 3_000), max_size=40),
+    singles=st.lists(st.integers(0, 3_000), max_size=20),
     k=ks,
     seed=st.integers(0, 2 ** 16),
 )
-def test_req_bytes_do_not_depend_on_how_update_calls_split_the_stream(n, cuts, k, seed):
+def test_req_bytes_do_not_depend_on_how_update_calls_split_the_stream(n, cuts, singles, k, seed):
     """Growth (special compactions, then N <- N^2) runs at the item where
-    n first exceeds N, whatever the chunk boundaries."""
+    n first exceeds N, whatever the chunk boundaries.  The item at each
+    of ``singles`` goes in as a scalar, and an empty call follows every
+    chunk."""
     from repro.core import serde
 
     x = np.random.default_rng(seed).lognormal(size=n)
     whole = ReqSketch(k, seed=seed).update(x)
     pieces = ReqSketch(k, seed=seed)
-    for chunk in np.split(x, sorted(c for c in cuts if c <= n)):
-        pieces.update(chunk)
+    bounds = {*cuts, *singles, *(i + 1 for i in singles)}
+    for chunk in np.split(x, sorted(c for c in bounds if c <= n)):
+        for call in (float(chunk[0]) if chunk.size == 1 else chunk, []):
+            pieces.update(call)
+            assert _at_rest(pieces)
     assert serde.to_bytes(pieces) == serde.to_bytes(whole)

@@ -86,7 +86,7 @@ class TestBasics:
             ({"khat": 1.5, "k_const": 0}, ValueError, "k_const must be a positive integer, got 0"),
             ({"khat": 1.5, "k_const": -2}, ValueError, "k_const must be a positive integer, got -2"),
             ({"khat": 1.5, "k_const": 2.0}, TypeError, "integer"),
-            ({"k": 8, "k_const": 0}, ValueError, "k_const must be a positive integer"),
+            ({"khat": 1.5, "k_const": np.int64(0)}, ValueError, "k_const must be a positive integer"),
         ],
     )
     def test_bad_k_rejected_at_construction(self, kwargs, error, match):
@@ -94,9 +94,28 @@ class TestBasics:
         with pytest.raises(error, match=match):
             ReqSketch(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"k": 64, "khat": 1.5}, "not both"),
+            ({"k": 8, "k_const": 4}, "with khat"),
+            ({"k_const": 4}, "with khat"),
+        ],
+    )
+    def test_one_section_size_policy(self, kwargs, match):
+        """A fixed k or a k-hat, and k_const only with a k-hat: no setting
+        is accepted and then ignored."""
+        with pytest.raises(TypeError, match=match):
+            ReqSketch(**kwargs)
+
+    def test_default_is_fixed_k_32(self):
+        sk = ReqSketch()
+        assert (sk.k, sk._khat, sk._k_const) == (32, None, P.K_CONST)
+        assert serde.to_bytes(sk) == serde.to_bytes(ReqSketch(32))
+
     @pytest.mark.parametrize("k", [np.int64(8), np.uint32(8), np.int8(8)])
     def test_integral_numpy_k_accepted(self, k):
-        sk = ReqSketch(k, k_const=np.int64(4)).update(np.arange(1000.0))
+        sk = ReqSketch(k).update(np.arange(1000.0))
         assert sk.k == 8 and type(sk.k) is int and sk.num_levels > 1
         assert ReqSketch(khat=1.5, k_const=np.int32(2)).k == ReqSketch(khat=1.5, k_const=2).k
 

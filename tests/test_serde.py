@@ -287,9 +287,9 @@ class TestGoldenBytes:
         assert serde.to_bytes(sk) == blob
 
 
-def _patched(blob, offset, fmt, value):
+def _patched(blob, offset, fmt, *values):
     out = bytearray(blob)
-    struct.pack_into(fmt, out, offset, value)
+    struct.pack_into(fmt, out, offset, *values)
     return bytes(out)
 
 
@@ -298,13 +298,21 @@ def _first_item(sk):
     return 95 + 12 * sk.num_levels
 
 
-# name -> (golden sketch, (offset, struct format, value) from the sketch, message)
+# name -> (golden sketch, (offset, struct format, *values) from the sketch, message)
 CORRUPTIONS = {
     "version_1": ("fixed_k", lambda sk: (4, "<B", 1), "version"),
     "schedule_byte_2": ("fixed_k", lambda sk: (5, "<B", 2), "schedule"),
     "odd_k": ("fixed_k", lambda sk: (6, "<I", 5), "even"),
     "zero_k": ("fixed_k", lambda sk: (6, "<I", 0), "even"),
     "zero_k_const": ("fixed_k", lambda sk: (18, "<I", 0), "k_const must be a positive integer, got 0"),
+    "fixed_k_const_4": ("fixed_k", lambda sk: (18, "<I", 4), "k_const of a fixed-k sketch must be 32, got 4"),
+    # k = 2 and N = 2048 (k, k-hat, k_const, N) give B = 2 * 2 * 11 = 44,
+    # the size of level 0; every other check still holds.
+    "level_of_B_items": (
+        "fixed_k",
+        lambda sk: (6, "<IQIQ", 2, 0x7FF8000000000000, params.K_CONST, 2048),
+        "a level holds B = 44 or more items",
+    ),
     "khat_inf": ("adaptive_grown", lambda sk: (10, "<d", math.inf), "finite"),
     "khat_zero": ("adaptive_grown", lambda sk: (10, "<d", 0.0), "finite"),
     "khat_other_nan": ("fixed_k", lambda sk: (10, "<Q", 0x7FF8000000000001), "canonical NaN"),
@@ -356,8 +364,7 @@ class TestMalformed:
     def test_corrupt_field_rejected(self, name):
         base, where, match = CORRUPTIONS[name]
         sk, blob = _golden(base)
-        with pytest.raises(ValueError, match=match):
-            serde.from_bytes(_patched(blob, *where(sk)))
+        _rejected(_patched(blob, *where(sk)), match)
 
     @pytest.mark.parametrize("name", CORRUPTIONS)
     def test_corrupt_field_rejected_by_column(self, name):
@@ -368,10 +375,13 @@ class TestMalformed:
             serde.decode_column(column)
 
     def test_level_over_capacity_rejected(self):
-        sk = ReqSketch(4, N0=1024)
-        sk.levels[0].append(np.arange(sk.B + 2.0))
-        sk.n = sk.B + 2
-        _rejected(serde.to_bytes(sk), "more than B")
+        """No sketch at rest holds a full level, so no blob does."""
+        for size in (72, 74):
+            sk = ReqSketch(4, N0=1024)
+            assert sk.B == 72
+            sk.levels[0].append(np.arange(float(size)))
+            sk.n = size
+            _rejected(serde.to_bytes(sk), "a level holds B = 72 or more items")
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_descent_inside_a_level_rejected(self, level):
@@ -477,11 +487,7 @@ class TestEncoder:
         with pytest.raises(ValueError, match="128 bits"):
             serde.to_bytes(ReqSketch(4, N0=2 ** 128))
 
-    @pytest.mark.parametrize(
-        "make, field",
-        [(lambda: ReqSketch(2 ** 32), "k"), (lambda: ReqSketch(8, k_const=2 ** 32), "k_const")],
-        ids=["k", "k_const"],
-    )
+    @pytest.mark.parametrize("make, field", [(lambda: ReqSketch(2 ** 32), "k")], ids=["k"])
     def test_field_beyond_32_bits_refused(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} = {2 ** 32} does not fit the format's 32 bits"):
             serde.to_bytes(make())
@@ -589,14 +595,14 @@ class TestColumn:
             assert str(got.value) == str(want.value)
 
 
-def _table_sketch(family, seed, n, N0, k_const):
+def _table_sketch(family, seed, n, N0):
     """A sketch of ``n`` lognormal items in one table's ``family``:
-    (schedule, adaptive k?, fixed k)."""
-    schedule, adaptive, k = family
+    (schedule, adaptive k?, fixed k, adaptive k_const)."""
+    schedule, adaptive, k, k_const = family
     if adaptive:
-        sk = ReqSketch(seed=seed, schedule=schedule, khat=1.5, k_const=2, N0=N0)
+        sk = ReqSketch(seed=seed, schedule=schedule, khat=1.5, k_const=k_const, N0=N0)
     else:
-        sk = ReqSketch(k, seed=seed, schedule=schedule, k_const=k_const, N0=N0)
+        sk = ReqSketch(k, seed=seed, schedule=schedule, N0=N0)
     return sk.update(np.random.default_rng(seed).lognormal(3.0, 1.5, n))
 
 
@@ -606,12 +612,13 @@ class TestMergeColumn:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        family=st.tuples(st.sampled_from(["req", "all"]), st.booleans(), st.sampled_from([4, 8])),
+        family=st.tuples(
+            st.sampled_from(["req", "all"]), st.booleans(), st.sampled_from([4, 8]), st.sampled_from([2, 4])
+        ),
         specs=st.lists(
             st.tuples(
                 st.one_of(st.integers(0, 24), st.integers(0, 400)),  # n: mostly never compacted
                 st.sampled_from([None, 16, 4096]),  # N0: default, smaller, larger
-                st.sampled_from([32, 4]),  # k_const
             ),
             min_size=1,
             max_size=40,

@@ -110,6 +110,15 @@ class TestMergeShapes:
             agg.build_sketch(df, "x", k=4.5, method=method)
         assert tracker.getJobIdsForGroup() == jobs
 
+    def test_depth_with_map_partitions_rejected_before_a_job(self, spark, stream):
+        """``depth`` sets treeReduce's depth: a driver-side merge has none."""
+        _, df = stream
+        tracker = spark.sparkContext.statusTracker()
+        jobs = tracker.getJobIdsForGroup()
+        with pytest.raises(TypeError, match="tree_aggregate"):
+            agg.build_sketch(df, "x", method="map_partitions", depth=2)
+        assert tracker.getJobIdsForGroup() == jobs
+
     @pytest.mark.parametrize("method", ["map_partitions", "tree_aggregate"])
     @pytest.mark.parametrize(
         "seed, error", [(-1, ValueError), (1.5, TypeError), (np.random.SeedSequence(1), TypeError)]
@@ -191,7 +200,8 @@ class TestPinnedBytes:
         df = spark.range(0, 50_000, 1, 4).select(
             ((F.col("id") * 7919) % 50_000).cast("double").alias("x")
         )
-        sk = agg.build_sketch(df, "x", k=16, seed=5, method=method, depth=2)
+        depth = {"depth": 2} if method == "tree_aggregate" else {}
+        sk = agg.build_sketch(df, "x", k=16, seed=5, method=method, **depth)
         assert sk.n == 50_000 and sk.num_levels > 1
         assert hashlib.sha256(serde.to_bytes(sk)).hexdigest() == self.DIGESTS[method]
 
