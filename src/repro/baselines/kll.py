@@ -54,23 +54,27 @@ class KllSketch(estimator.Queries):
         arr = self._intake(values)
         pos, total = 0, arr.size
         while pos < total:
-            room = self.capacity(0) - len(self.levels[0])
-            if room <= 0:
-                self._compress()
-                continue
-            take = min(room, total - pos)
+            # Every level is below its capacity at rest.
+            take = min(self.capacity(0) - len(self.levels[0]), total - pos)
             self.levels[0].append(arr[pos : pos + take])
             pos += take
             self.n += take
-        if len(self.levels[0]) >= self.capacity(0):
-            self._compress()
+            if len(self.levels[0]) >= self.capacity(0):
+                self._compress()
         return self
 
     def _compress(self) -> None:
-        """Bottom-up: compact every level at its capacity (at least 2)."""
+        """Bottom-up: compact every level at its capacity (at least 2).  A
+        new top level shrinks the capacity of every level below it, so the
+        pass then starts again from level 0: no level is left at or over
+        its capacity."""
         h = 0
         while h < len(self.levels):
             if len(self.levels[h]) >= self.capacity(h):
+                if h + 1 == len(self.levels):
+                    self.levels.append(RelativeCompactor())
+                    h = 0
+                    continue
                 arr = self.levels[h].sorted_values()
                 offset = int(self.rng.integers(0, 2))
                 # An odd-length buffer keeps one item behind (classic KLL
@@ -79,8 +83,6 @@ class KllSketch(estimator.Queries):
                 if arr.size % 2 == 1:
                     keep, arr = (arr[-1:], arr[:-1]) if offset == 0 else (arr[:1], arr[1:])
                 self.levels[h] = RelativeCompactor(items=keep)
-                if h + 1 == len(self.levels):
-                    self.levels.append(RelativeCompactor())
                 self.levels[h + 1].append(arr[offset::2].copy())
             h += 1
 

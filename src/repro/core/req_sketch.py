@@ -76,7 +76,8 @@ class ReqSketch(estimator.Queries):
         ``TypeError``: a sketch has one section-size policy.
 
         ``k`` and ``k_const`` are integers (``TypeError`` otherwise): an
-        even ``k`` >= 2 and a positive ``k_const``.  ``seed`` (a
+        even ``k`` >= 2 and a positive ``k_const``.  ``khat`` is positive,
+        and 8 * ``khat`` is finite (``ValueError`` otherwise).  ``seed`` (a
         non-negative int or a ``numpy.random.SeedSequence``) seeds the
         coin-flip generator, built on first use; assign ``rng`` to install
         a ready one.  ``N0``, an integer of at least 2 (``TypeError`` for
@@ -95,6 +96,9 @@ class ReqSketch(estimator.Queries):
         k_const = P.K_CONST if k_const is None else operator.index(k_const)
         if k_const <= 0:
             raise ValueError(f"k_const must be a positive integer, got {k_const}")
+        # As the decoders check it; the initial bound on n is 8 * k-hat.
+        if khat is not None and not (khat > 0 and math.isfinite(8 * khat)):
+            raise ValueError(f"k-hat must be finite and positive, got {khat}")
         self._khat = khat
         self._k_const = k_const
         self.schedule = schedule

@@ -1,11 +1,12 @@
 """The sketch wire format: one validated little-endian byte layout.
 
-Executors build partial sketches per partition and return them to the
-driver (or to ``treeReduce`` combiners) as opaque ``bytes`` columns;
-this module is the only code that writes or reads those bytes.  Only
-``ReqSketch`` goes on the wire, and this module reads and rebuilds a
-sketch only through its state (``ReqSketch._state`` and
-``ReqSketch._from_state``).
+Executors build partial sketches per partition and return them as
+opaque bytes: to the driver as one Arrow ``binary`` column, read at once
+by ``decode_column``, or to ``treeReduce`` combiners, which read one blob
+at a time with ``from_bytes``.  This module is the only code that writes
+or reads those bytes.  Only ``ReqSketch`` goes on the wire, and this
+module reads and rebuilds a sketch only through its state
+(``ReqSketch._state`` and ``ReqSketch._from_state``).
 
 A blob is a header (``_HEAD``), a level table of L rows (``_LEVEL``),
 then every level's items as float64, level 0 first, each level in
@@ -34,14 +35,14 @@ column decoder.  ``decode_column`` reads the offsets and data buffers of
 a ``binary`` or ``large_binary`` Arrow array (``toArrow`` returns the
 latter under ``spark.sql.execution.arrow.useLargeVarTypes``), gathers
 every header and level-table row with numpy, runs each of
-``from_bytes``'s checks as an array comparison, and gathers every item
-into one read-only array.  Where a row fails a check it calls
-``from_bytes`` on the first such row, so the ``ValueError`` a column
-raises is the scalar decoder's.  Both decoders turn a header into a
-sketch state with ``_header_state``.  ``merge_column`` folds a decoded
-column left to right without a sketch object per small blob (see
-there); the bytes are those of ``merge_sequential`` over ``from_bytes``
-of each blob.
+``from_bytes``'s checks as one comparison over every row (headers, then
+level tables, then items), and gathers every item into one read-only
+array.  Where any row fails a check, ``from_bytes`` decodes the rows in
+order, so the ``ValueError`` a column raises is the scalar decoder's
+for its first bad row.  Both decoders turn a header into a sketch state
+with ``_header_state``.  ``merge_column`` folds a decoded column left to
+right without a sketch object per small blob (see there); the bytes are
+those of ``merge_sequential`` over ``from_bytes`` of each blob.
 """
 from __future__ import annotations
 
@@ -101,14 +102,13 @@ def to_bytes(sketch: ReqSketch) -> bytes:
     """Serialize a ``ReqSketch``."""
     if not isinstance(sketch, ReqSketch):
         raise TypeError(f"only ReqSketch has a wire format, not {type(sketch).__name__}")
-    schedule, k, khat, k_const, N, n, min_B, rng_src, levels = sketch._state()
+    schedule, k, khat, k_const, N, n, min_B, _, levels = sketch._state()
     if N >> 128:
         raise ValueError(f"N = {N} does not fit the format's 128 bits")
     # k_const needs no check: it is K_CONST for a fixed k, and k(N) >= k_const.
     if k >> 32:
         raise ValueError(f"k = {k} does not fit the format's 32 bits")
-    # A sketch that never drew may hold a seed, not PCG64 fields.
-    state, inc, has_uint32, uinteger = rng_src if isinstance(rng_src, tuple) else sketch._rng_state()
+    state, inc, has_uint32, uinteger = sketch._rng_state()
     items = [np.sort(v, kind="stable") for _, v in levels]
     head = _HEAD.pack(*_Head(
         magic=_MAGIC, version=_VERSION, sched=_SCHEDULES.index(schedule), k=k,
@@ -286,87 +286,76 @@ def decode_column(array) -> SketchColumn:
     """Validate every blob of a ``binary`` or ``large_binary`` Arrow array
     (or chunked array) at once and return the column.
 
-    Runs each check of ``from_bytes`` as an array comparison over all rows.
-    Where a row fails one, ``from_bytes`` decodes the first such row, so
-    the ``ValueError`` and its message are the scalar decoder's.  Raises
-    ``TypeError`` for an array that is not binary and ``ValueError`` for a
-    null row.
+    Runs each check of ``from_bytes`` as one comparison over all rows,
+    stage by stage (headers, level tables, items), each stage reading only
+    fields the earlier checks passed.  Where any row fails, ``from_bytes``
+    decodes the rows in order, so the ``ValueError`` is the scalar
+    decoder's for the first bad row.  Raises ``TypeError`` for an array
+    that is not binary and ``ValueError`` for a null row.
     """
     data, offsets = _buffers(array)
     starts, sizes = offsets[:-1], np.diff(offsets)
-    ok = np.zeros(sizes.size, bool)
 
-    # Headers: every row long enough to hold one.
-    rows = np.flatnonzero(sizes >= _HEAD.size)
-    head = _gather(data, starts[rows], _HEAD_ROW)
+    def require(good) -> None:
+        """Pass if every entry of ``good`` holds, else raise the first bad row's error."""
+        if not np.all(good):
+            for start, size in zip(starts.tolist(), sizes.tolist()):
+                from_bytes(data[start : start + size].tobytes())
+            raise RuntimeError("a row fails the column checks, but every row decodes alone")
+
+    # Headers.
+    require(sizes >= _HEAD.size)
+    head = _gather(data, starts, _HEAD_ROW)
     k, L = head["k"], head["L"].astype(np.int64)
     N_lo, N_hi, n = head["N_lo"], head["N_hi"], head["n"]
     table_end = _HEAD.size + _LEVEL.size * L
-    good = (
-        (head["magic"] == _MAGIC) & (head["version"] == _VERSION)
-        & (table_end <= sizes[rows]) & (head["sched"] < len(_SCHEDULES))
-        & (k >= 2) & (k % 2 == 0) & (head["k_const"] > 0)
-        & ((N_hi > 0) | ((N_lo >= 2) & (n <= N_lo)))
-        & (head["has_uint32"] <= 1) & (head["i_lo"] & 1 == 1) & (L >= 1)
-    )
     khat = head["khat"].view("<f8")
     fixed = np.isnan(khat)
     canonical = (head["khat"] == _NAN_U64) & (head["k_const"] == P.K_CONST)
-    good &= np.where(fixed, canonical, np.isfinite(khat) & (khat > 0))
-    for i in np.flatnonzero(good & ~fixed).tolist():
+    require(
+        (head["magic"] == _MAGIC) & (head["version"] == _VERSION)
+        & (table_end <= sizes) & (head["sched"] < len(_SCHEDULES))
+        & (k >= 2) & (k % 2 == 0) & (head["k_const"] > 0)
+        & ((N_hi > 0) | ((N_lo >= 2) & (n <= N_lo)))
+        & (head["has_uint32"] <= 1) & (head["i_lo"] & 1 == 1) & (L >= 1)
+        & np.where(fixed, canonical, np.isfinite(khat) & (khat > 0))
+    )
+    for i in np.flatnonzero(~fixed).tolist():
         N = int(N_lo[i]) | int(N_hi[i]) << 64
-        good[i] = int(k[i]) == _k_of_N(float(khat[i]), N, int(head["k_const"][i]))
-    B = np.zeros(rows.size, np.uint64)
-    B[good] = _buffer_sizes(k[good], N_lo[good], N_hi[good])
-    good &= (head["min_B"] > 0) & (head["min_B"] <= B)
+        require(int(k[i]) == _k_of_N(float(khat[i]), N, int(head["k_const"][i])))
+    B = _buffer_sizes(k, N_lo, N_hi)
+    require((head["min_B"] > 0) & (head["min_B"] <= B))
 
-    # Level tables: every row whose table fits and whose header passed.
-    t = np.flatnonzero(good)
-    Lt = L[t]
-    first = np.cumsum(Lt) - Lt
-    owner = np.repeat(np.arange(t.size), Lt)
+    # Level tables.
+    first = np.cumsum(L) - L
+    owner = np.repeat(np.arange(L.size), L)
     h = np.arange(owner.size) - first[owner]  # level number
-    at = starts[rows[t]][owner] + _HEAD.size + _LEVEL.size * h
-    table = _gather(data, at, _LEVEL_ROW)
+    table = _gather(data, starts[owner] + _HEAD.size + _LEVEL.size * h, _LEVEL_ROW)
     counts = table["count"].astype(np.uint64)
-    total = _segment_sums(counts, first, Lt).astype(np.int64)
-    rest = sizes[rows[t]] - table_end[t]
-    fit = (rest % _ITEM.itemsize == 0) & (rest // _ITEM.itemsize == total)
-    fit[owner[counts >= B[t][owner]]] = False
-    # Weights: count << h sums to n.  A term is below 2**64 where it can
-    # be, and the sum is taken in 32-bit halves, so it is exact.
+    total = _segment_sums(counts, first, L).astype(np.int64)
+    rest = sizes - table_end
+    require((rest % _ITEM.itemsize == 0) & (rest // _ITEM.itemsize == total))
+    # Weights: count << h sums to n.  A term of 2**64 or more fails, and
+    # the sum is taken in 32-bit halves, so it is exact.
     small = (counts == 0) | ((h < 64) & (counts >> np.minimum(64 - h, 63).astype(np.uint64) == 0))
-    fit[owner[~small]] = False
-    terms = np.where(small, counts << np.minimum(h, 63).astype(np.uint64), 0).astype(np.uint64)
-    lo = _segment_sums(terms & _LOW32, first, Lt)
-    hi = _segment_sums(terms >> np.uint64(32), first, Lt) + (lo >> np.uint64(32))
-    fit &= (hi == n[t] >> np.uint64(32)) & ((lo & _LOW32) == n[t] & _LOW32)
+    require((counts < B[owner]) & small)
+    terms = counts << np.minimum(h, 63).astype(np.uint64)
+    lo = _segment_sums(terms & _LOW32, first, L)
+    hi = _segment_sums(terms >> np.uint64(32), first, L) + (lo >> np.uint64(32))
+    require((hi == n >> np.uint64(32)) & ((lo & _LOW32) == n & _LOW32))
 
-    # Items: every row whose layout holds.
-    kept = fit[owner]
-    t, Lt, total, counts = t[fit], Lt[fit], total[fit], counts[kept].astype(np.int64)
-    item_lo = np.concatenate([[0], np.cumsum(counts)])
+    # Items.
+    item_lo = np.concatenate([[0], np.cumsum(counts.astype(np.int64))])
     row_lo = np.concatenate([[0], np.cumsum(total)])
-    begin = starts[rows[t]] + table_end[t] - _ITEM.itemsize * row_lo[:-1]
-    at = np.repeat(begin, total) + _ITEM.itemsize * np.arange(row_lo[-1])
-    items = _gather(data, at, _ITEM)
-    # A NaN fails every comparison it is in; a descent is allowed only
-    # where a level starts.
+    begin = starts + table_end - _ITEM.itemsize * row_lo[:-1]
+    items = _gather(data, np.repeat(begin, total) + _ITEM.itemsize * np.arange(row_lo[-1]), _ITEM)
+    require(~np.isnan(items))
+    # A descent is allowed only where a level starts.
     starts_level = np.zeros(items.size + 1, bool)
     starts_level[item_lo] = True
-    descent = np.concatenate([[False], (items[1:] < items[:-1]) & ~starts_level[1:-1]])
-    bad = np.flatnonzero(np.isnan(items) | descent)
-    clean = np.ones(t.size, bool)
-    clean[np.searchsorted(row_lo, bad, side="right") - 1] = False
-    ok[rows[t[clean]]] = True
-
-    if not ok.all():
-        row = int(np.argmin(ok))
-        from_bytes(data[starts[row] : starts[row] + sizes[row]].tobytes())
-        raise RuntimeError(f"row {row} fails the column checks but decodes alone")
+    require((items[1:] >= items[:-1]) | starts_level[1:-1])
     items.flags.writeable = False
-    level_lo = np.concatenate([[0], np.cumsum(Lt)])
-    return SketchColumn(head, level_lo, table["state"][kept], item_lo, items)
+    return SketchColumn(head, np.concatenate([[0], np.cumsum(L)]), table["state"], item_lo, items)
 
 
 def merge_column(array) -> ReqSketch:

@@ -7,9 +7,10 @@ Algorithm 4's merge is full, so any merge tree keeps the guarantee
 (App. C) and the dataflow only chooses where merges run:
 
 * ``build_sketch(..., method="map_partitions")`` — ``mapInArrow``
-  emits one partial per non-empty partition as bytes; the driver merges
-  the partials in a balanced binary tree (``merge_balanced``).  T4 also
-  folds the same partials left to right (``merge_sequential``).
+  emits one partial per non-empty partition as bytes; the driver reads
+  them as one Arrow column (``toArrow``, ``serde.decode_column``) and
+  merges them in a balanced binary tree (``merge_balanced``).  T4 also
+  folds such partials left to right (``merge_sequential``).
 * ``build_sketch(..., method="tree_aggregate")`` — the same partial
   blobs merged on executors by ``RDD.treeReduce`` (decode, merge,
   encode) with ``depth`` combiner levels; only the root reaches the
@@ -104,16 +105,18 @@ def _partial_blobs(df: DataFrame, col: str, k: int, seed: int) -> DataFrame:
 def partition_sketches(
     df: DataFrame, col: str, *, k: int = 32, seed: int = 0
 ) -> List[ReqSketch]:
-    """One partial REQ sketch per non-empty partition, in partition order."""
-    out = _partial_blobs(df, col, k, seed).collect()
-    return [serde.from_bytes(row["sketch"]) for row in out]
+    """One partial REQ sketch per non-empty partition, in partition order,
+    read from one Arrow collect by ``serde.decode_column``."""
+    blobs = serde.decode_column(_partial_blobs(df, col, k, seed).toArrow().column(0))
+    return [blobs.sketch(i) for i in range(len(blobs))]
 
 
 def merge_balanced(sketches: List[ReqSketch]) -> ReqSketch:
     """Merge partials pairwise in rounds — a balanced binary merge tree.
 
     Matches the merge topology of a parallel reduction, the shape
-    App. C's "arbitrary merge tree" analysis must survive.
+    App. C's "arbitrary merge tree" analysis must survive.  Merges into
+    its inputs: the left sketch of each pair absorbs the right one.
     """
     if not sketches:
         raise ValueError("no partial sketches to merge (empty input?)")
@@ -129,7 +132,7 @@ def merge_balanced(sketches: List[ReqSketch]) -> ReqSketch:
 
 
 def merge_sequential(sketches: List[ReqSketch]) -> ReqSketch:
-    """Left-fold merge — the most unbalanced merge tree (worst case)."""
+    """Left-fold merge into ``sketches[0]`` — the most unbalanced merge tree (worst case)."""
     if not sketches:
         raise ValueError("no partial sketches to merge (empty input?)")
     acc = sketches[0]

@@ -1,11 +1,13 @@
 """The Spark layer hands values to Python over Arrow only: no module
-under ``repro.spark`` imports pandas, and ``build_sketch``'s partial
-build runs as ``MapInArrow``, never as ``MapInPandas``."""
+under ``repro.spark`` imports pandas, ``build_sketch``'s partial build
+runs as ``MapInArrow``, never as ``MapInPandas``, and its partials come
+back as one Arrow column."""
 import ast
 from pathlib import Path
 
 import pytest
 
+from repro.core import serde
 from repro.spark import aggregate as agg
 
 SPARK = Path(__file__).resolve().parent.parent / "src" / "repro" / "spark"
@@ -48,15 +50,22 @@ def test_no_pandas_import(path):
 
 
 def test_build_sketch_maps_in_arrow(spark, monkeypatch):
+    """The partials reach the driver as one Arrow collect and one column
+    decode: no pickled-row ``collect`` and no per-row ``from_bytes``."""
     df = spark.range(0, 1_000, 1, 2).selectExpr("CAST(id AS DOUBLE) AS x")
     cls, plans = type(df), []
-    collect = cls.collect
+    to_arrow = cls.toArrow
 
     def spy(self):
         plans.append(self._jdf.queryExecution().executedPlan().toString())
-        return collect(self)
+        return to_arrow(self)
 
-    monkeypatch.setattr(cls, "collect", spy)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the partials were read one row at a time")
+
+    monkeypatch.setattr(cls, "toArrow", spy)
+    monkeypatch.setattr(cls, "collect", refuse)
+    monkeypatch.setattr(serde, "from_bytes", refuse)
     assert agg.build_sketch(df, "x", k=8).n == 1_000
     (plan,) = plans
     assert "MapInArrow" in plan and "MapInPandas" not in plan, plan

@@ -146,3 +146,28 @@ def test_req_bytes_do_not_depend_on_how_update_calls_split_the_stream(n, cuts, s
             pieces.update(call)
             assert _at_rest(pieces)
     assert serde.to_bytes(pieces) == serde.to_bytes(whole)
+
+
+def _kll_at_rest(sk):
+    """No level holds its capacity or more items, at the current height."""
+    return all(len(lv) < sk.capacity(h) for h, lv in enumerate(sk.levels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([4, 8, 20, 50]),
+    calls=st.lists(st.tuples(st.booleans(), st.integers(0, 700)), min_size=1, max_size=12),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_kll_levels_rest_below_capacity(k, calls, seed):
+    """After every update or merge, no level is at or over its capacity:
+    a new top level shrinks the capacities below it."""
+    rng = np.random.default_rng(seed)
+    sk = KllSketch(k=k, seed=seed)
+    for i, (merge, size) in enumerate(calls):
+        x = rng.lognormal(size=size)
+        if merge:
+            sk.merge(KllSketch(k=k, seed=seed + i + 1).update(x))
+        else:
+            sk.update(x)
+        assert _kll_at_rest(sk)

@@ -1,4 +1,6 @@
 """Unit tests for the REQ sketch (paper Algorithm 2 + §5 growth)."""
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,11 @@ class TestBasics:
             ({"khat": 1.5, "k_const": -2}, ValueError, "k_const must be a positive integer, got -2"),
             ({"khat": 1.5, "k_const": 2.0}, TypeError, "integer"),
             ({"khat": 1.5, "k_const": np.int64(0)}, ValueError, "k_const must be a positive integer"),
+            ({"khat": math.inf}, ValueError, "k-hat must be finite and positive, got inf"),
+            ({"khat": 1e308}, ValueError, "k-hat must be finite and positive, got 1e"),
+            ({"khat": math.nan}, ValueError, "k-hat must be finite and positive, got nan"),
+            ({"khat": 0.0}, ValueError, "k-hat must be finite and positive, got 0.0"),
+            ({"khat": -1.5}, ValueError, "k-hat must be finite and positive, got -1.5"),
         ],
     )
     def test_bad_k_rejected_at_construction(self, kwargs, error, match):
