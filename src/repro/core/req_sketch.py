@@ -81,7 +81,9 @@ class ReqSketch(estimator.Queries):
         non-negative int or a ``numpy.random.SeedSequence``) seeds the
         coin-flip generator, built on first use; assign ``rng`` to install
         a ready one.  ``N0``, an integer of at least 2 (``TypeError`` for
-        one that is not an integer), overrides the initial bound on n.
+        one that is not an integer), overrides the initial bound on n.  A
+        section size the wire format cannot hold (2**32 or more, as a fixed
+        ``k`` or as k(N) at the initial bound) raises ``ValueError``.
         """
         if khat is not None and k is not None:
             raise TypeError("pass a fixed k or a khat, not both")
@@ -111,6 +113,10 @@ class ReqSketch(estimator.Queries):
         if self.N < 2:
             raise ValueError(f"N0 must be >= 2, got {N0}")
         self.k = self._k_at(self.N)
+        # The wire's k field is a u32.  Checked once: a fixed k never
+        # changes, k(N) never grows with N, and a merge keeps the target's k.
+        if self.k >> 32:
+            raise ValueError(f"k = {self.k} does not fit the format's 32 bits")
         self.B = P.geometry(self.k, self.N)
         self.levels: List[RelativeCompactor] = [RelativeCompactor()]
         self.n = 0

@@ -1,12 +1,12 @@
 """The sketch wire format: one validated little-endian byte layout.
 
-Executors build partial sketches per partition and return them as
-opaque bytes: to the driver as one Arrow ``binary`` column, read at once
-by ``decode_column``, or to ``treeReduce`` combiners, which read one blob
-at a time with ``from_bytes``.  This module is the only code that writes
-or reads those bytes.  Only ``ReqSketch`` goes on the wire, and this
-module reads and rebuilds a sketch only through its state
-(``ReqSketch._state`` and ``ReqSketch._from_state``).
+Executors build partial sketches per partition or per group and return
+them as opaque bytes; every column of them that the package reads on the
+driver arrives as one Arrow ``binary`` column, read at once by
+``decode_column``.  This module is the only code that writes or reads
+those bytes.  Only ``ReqSketch`` goes on the wire, and this module reads
+and rebuilds a sketch only through its state (``ReqSketch._state`` and
+``ReqSketch._from_state``).
 
 A blob is a header (``_HEAD``), a level table of L rows (``_LEVEL``),
 then every level's items as float64, level 0 first, each level in
@@ -105,9 +105,8 @@ def to_bytes(sketch: ReqSketch) -> bytes:
     schedule, k, khat, k_const, N, n, min_B, _, levels = sketch._state()
     if N >> 128:
         raise ValueError(f"N = {N} does not fit the format's 128 bits")
-    # k_const needs no check: it is K_CONST for a fixed k, and k(N) >= k_const.
-    if k >> 32:
-        raise ValueError(f"k = {k} does not fit the format's 32 bits")
+    # k needs no check: the constructor refuses one beyond 32 bits.  Nor
+    # does k_const: it is K_CONST for a fixed k, and k(N) >= k_const.
     state, inc, has_uint32, uinteger = sketch._rng_state()
     items = [np.sort(v, kind="stable") for _, v in levels]
     head = _HEAD.pack(*_Head(

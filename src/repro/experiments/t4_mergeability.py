@@ -4,12 +4,11 @@ Paper claim: splitting the input arbitrarily, sketching pieces
 separately, and combining partial sketches through *any* sequence of
 merge operations preserves the same relative-error guarantee and space
 as one-pass streaming.  We build the sketch over TPC-H-lite
-``lineitem.l_extendedprice`` five ways —
+``lineitem.l_extendedprice`` three ways —
 
 * driver-side single stream (reference),
 * Spark ``mapInArrow`` partials + balanced merge tree (4/16/64 parts),
 * partials + *sequential* (maximally unbalanced) merge chain,
-* the same partials merged on executors by RDD ``treeReduce``,
 
 and report the max/mean relative error of each against oracle-checked
 exact ranks, plus retained space.  Shape to reproduce: every row's
@@ -23,17 +22,12 @@ import pandas as pd
 from repro import synth_data
 from repro.baselines.exact import relative_errors
 from repro.core.req_sketch import ReqSketch
-from repro.spark.aggregate import (
-    build_sketch,
-    merge_balanced,
-    merge_sequential,
-    partition_sketches,
-)
+from repro.spark.aggregate import merge_balanced, merge_sequential, partition_sketches
 from repro.spark.queries import exact_ranks
 
 PAPER_CLAIM = (
     "Merged-anyhow sketch == streaming sketch: same eps guarantee, same space "
-    "up to constants, for any merge tree (balanced, chain, treeAggregate)."
+    "up to constants, for any merge tree (balanced, chain)."
 )
 
 K = 64
@@ -62,8 +56,7 @@ def run(spark, *, quick: bool = False, sf: float | None = None) -> pd.DataFrame:
     n = df.count()
 
     # Query grid: log-spaced percentiles of the price column incl. tails.
-    pdf = df.toPandas()
-    values = np.sort(pdf["l_extendedprice"].to_numpy())
+    values = np.sort(df.toArrow().column(0).to_numpy())
     target_ranks = np.unique(
         np.clip(np.round(np.logspace(0, np.log10(n), 25)).astype(int), 1, n)
     )
@@ -71,7 +64,7 @@ def run(spark, *, quick: bool = False, sf: float | None = None) -> pd.DataFrame:
     # ys is ascending (sorted values at increasing ranks), matching the
     # ORDER BY y of exact_ranks, so truth aligns positionally with ys.
     truth_df = exact_ranks(df, "l_extendedprice", list(ys))
-    truth = np.array([r["rank"] for r in truth_df.collect()])
+    truth = truth_df.toArrow().column("rank").to_numpy()
 
     rows = []
     stream = ReqSketch(K, seed=11).update(values)
@@ -88,16 +81,6 @@ def run(spark, *, quick: bool = False, sf: float | None = None) -> pd.DataFrame:
         rows.append(
             _error_row("map_partitions/chain", merge_sequential(partials), truth, ys, parts)
         )
-    ta_parts = 8 if quick else 32
-    ta = build_sketch(
-        df.repartition(ta_parts),
-        "l_extendedprice",
-        k=K,
-        seed=23,
-        method="tree_aggregate",
-        depth=2,
-    )
-    rows.append(_error_row("rdd_tree_aggregate", ta, truth, ys, ta_parts))
 
     out = pd.DataFrame(rows)
     out.attrs["n"] = n

@@ -6,15 +6,11 @@ seeded RNG, ``update`` with each Arrow batch of ``_as_double``'s column.
 Algorithm 4's merge is full, so any merge tree keeps the guarantee
 (App. C) and the dataflow only chooses where merges run:
 
-* ``build_sketch(..., method="map_partitions")`` — ``mapInArrow``
-  emits one partial per non-empty partition as bytes; the driver reads
-  them as one Arrow column (``toArrow``, ``serde.decode_column``) and
-  merges them in a balanced binary tree (``merge_balanced``).  T4 also
-  folds such partials left to right (``merge_sequential``).
-* ``build_sketch(..., method="tree_aggregate")`` — the same partial
-  blobs merged on executors by ``RDD.treeReduce`` (decode, merge,
-  encode) with ``depth`` combiner levels; only the root reaches the
-  driver.  ``depth=1`` is the left fold in partition order.
+* ``build_sketch`` — ``mapInArrow`` emits one partial per non-empty
+  partition as bytes; the driver reads them as one Arrow column
+  (``toArrow``, ``serde.decode_column``) and merges them in a balanced
+  binary tree (``merge_balanced``).  T4 also folds such partials left
+  to right (``merge_sequential``).
 * ``repro.spark.udaf`` — one sketch per group, built by an Arrow UDF
   over ``groupBy``'s collected values and answered or emitted where it
   is built.
@@ -28,7 +24,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -141,33 +137,8 @@ def merge_sequential(sketches: List[ReqSketch]) -> ReqSketch:
     return acc
 
 
-def _merge_blobs(a: bytes, b: bytes) -> bytes:
-    return serde.to_bytes(serde.from_bytes(a).merge(serde.from_bytes(b)))
-
-
-def build_sketch(
-    df: DataFrame,
-    col: str,
-    *,
-    k: int = 32,
-    seed: int = 0,
-    method: str = "map_partitions",
-    depth: Optional[int] = None,
-) -> ReqSketch:
-    """Build a REQ sketch of ``df[col]`` with the chosen merge placement.
-
-    ``method``: "map_partitions" (partials merged on the driver by
-    ``merge_balanced``) or "tree_aggregate" (partials merged on
-    executors by ``treeReduce``).
-    ``depth``: treeReduce depth, 2 when None; tree_aggregate only, so a
-    ``depth`` with "map_partitions" raises ``TypeError`` before any job.
-    """
-    if method == "tree_aggregate":
-        # treeReduce raises ValueError on an empty RDD (no rows).
-        blobs = _partial_blobs(df, col, k, seed).rdd.map(lambda r: r[0])
-        return serde.from_bytes(blobs.treeReduce(_merge_blobs, 2 if depth is None else depth))
-    if method != "map_partitions":
-        raise ValueError(f"unknown method {method!r}")
-    if depth is not None:
-        raise TypeError("depth is the treeReduce depth of method='tree_aggregate' only")
+def build_sketch(df: DataFrame, col: str, *, k: int = 32, seed: int = 0) -> ReqSketch:
+    """Build a REQ sketch of ``df[col]``: one partial per non-empty
+    partition (``partition_sketches``), merged on the driver by
+    ``merge_balanced``.  Raises ``ValueError`` when no row has a value."""
     return merge_balanced(partition_sketches(df, col, k=k, seed=seed))

@@ -1,17 +1,25 @@
 """The Spark layer hands values to Python over Arrow only: no module
-under ``repro.spark`` imports pandas, ``build_sketch``'s partial build
-runs as ``MapInArrow``, never as ``MapInPandas``, and its partials come
-back as one Arrow column."""
+under ``repro.spark`` imports pandas, no module of the package uses the
+RDD API, ``build_sketch``'s partial build runs as ``MapInArrow``, never
+as ``MapInPandas``, its partials come back as one Arrow column, and no
+public entry point unpickles data on the driver."""
 import ast
 from pathlib import Path
 
 import pytest
+from pyspark.serializers import CPickleSerializer
 
 from repro.core import serde
 from repro.spark import aggregate as agg
+from repro.spark import udaf
 
-SPARK = Path(__file__).resolve().parent.parent / "src" / "repro" / "spark"
+REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+SPARK = REPRO / "spark"
 FILES = sorted(SPARK.rglob("*.py"))
+PACKAGE_FILES = sorted(REPRO.rglob("*.py"))
+# A DataFrame's ``rdd`` reads its rows through pickle, and the RDD
+# reductions ship and collect pickled values.
+RDD_ATTRIBUTES = {"rdd", "treeReduce", "treeAggregate"}
 
 
 def imported_packages(source: str):
@@ -49,6 +57,35 @@ def test_no_pandas_import(path):
     assert "pandas" not in imported_packages(path.read_text())
 
 
+def rdd_attributes(source: str):
+    """The names in ``RDD_ATTRIBUTES`` that ``source`` reads as attributes."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in RDD_ATTRIBUTES
+    }
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("df.rdd.getNumPartitions()", {"rdd"}),
+        ("blobs.treeReduce(f, 2)", {"treeReduce"}),
+        ("df.rdd.treeAggregate(z, f, g)", {"rdd", "treeAggregate"}),
+        ("f = x.rdd", {"rdd"}),
+        ("rdd = df.toArrow()", set()),
+        ("df.mapInArrow(f, 'x binary')", set()),
+    ],
+)
+def test_rdd_detector(source, expected):
+    assert rdd_attributes(source) == expected
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: str(p.relative_to(REPRO)))
+def test_no_rdd_api(path):
+    assert rdd_attributes(path.read_text()) == set()
+
+
 def test_build_sketch_maps_in_arrow(spark, monkeypatch):
     """The partials reach the driver as one Arrow collect and one column
     decode: no pickled-row ``collect`` and no per-row ``from_bytes``."""
@@ -69,3 +106,23 @@ def test_build_sketch_maps_in_arrow(spark, monkeypatch):
     assert agg.build_sketch(df, "x", k=8).n == 1_000
     (plan,) = plans
     assert "MapInArrow" in plan and "MapInPandas" not in plan, plan
+
+
+def test_driver_unpickles_nothing(spark, monkeypatch):
+    """Neither the global build nor the rollup of group sketches reads a
+    pickled value on the driver."""
+    df = spark.range(0, 4_000, 1, 4).selectExpr("id % 7 AS g", "CAST(id AS DOUBLE) AS x")
+    sketches = udaf.group_sketches(df, ["g"], "x", k=8)
+    calls, loads = [], CPickleSerializer.loads
+
+    def spy(self, obj, *args, **kwargs):
+        calls.append(len(obj))  # the size of each pickle read
+        return loads(self, obj, *args, **kwargs)
+
+    monkeypatch.setattr(CPickleSerializer, "loads", spy)
+    assert spark.sparkContext.parallelize([1], 1).collect() == [1]
+    assert calls  # the spy sees a pickled collect
+    calls.clear()
+    assert agg.build_sketch(df, "x", k=8).n == 4_000
+    assert udaf.merge_group_sketches(sketches).n == 4_000
+    assert calls == []

@@ -44,8 +44,7 @@ def test_no_call_site_capture(spark, rows, monkeypatch):
     F.col("x")
     assert len(captures) == 1  # the spy sees a wrapped call
     captures.clear()
-    for method in ("map_partitions", "tree_aggregate"):
-        agg.build_sketch(rows, "x", k=8, method=method)
+    agg.build_sketch(rows, "x", k=8)
     sketches = udaf.group_sketches(rows, ["key"], "x", k=8)
     udaf.group_quantiles(rows, ["key"], "x", PHIS, k=8).collect()
     udaf.merge_group_sketches(sketches)

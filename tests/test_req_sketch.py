@@ -94,10 +94,13 @@ class TestBasics:
             ({"khat": math.nan}, ValueError, "k-hat must be finite and positive, got nan"),
             ({"khat": 0.0}, ValueError, "k-hat must be finite and positive, got 0.0"),
             ({"khat": -1.5}, ValueError, "k-hat must be finite and positive, got -1.5"),
+            ({"k": 2 ** 32}, ValueError, f"^k = {2 ** 32} does not fit the format's 32 bits"),
+            ({"khat": 1e9}, ValueError, "^k = 18475208640 does not fit the format's 32 bits"),
         ],
     )
     def test_bad_k_rejected_at_construction(self, kwargs, error, match):
-        """Not rounded to an integer, and no k_const <= 0 clamped to k = 2."""
+        """Not rounded to an integer, no k_const <= 0 clamped to k = 2, and
+        no k the wire's 32 bits cannot hold."""
         with pytest.raises(error, match=match):
             ReqSketch(**kwargs)
 

@@ -1,4 +1,4 @@
-"""Distributed-build tests: partition partials, merge trees, treeAggregate."""
+"""Distributed-build tests: partition partials and merge trees."""
 import hashlib
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -93,37 +93,21 @@ class TestMergeShapes:
         rel_s = relative_errors(drv.ranks(ys), true).max()
         assert rel_d < 0.06 and rel_s < 0.06
 
-    def test_bad_method_rejected(self, spark, stream):
-        _, df = stream
-        with pytest.raises(ValueError):
-            agg.build_sketch(df, "x", method="bogus")
-
-    @pytest.mark.parametrize("method", ["map_partitions", "tree_aggregate"])
-    def test_bad_k_rejected_before_a_job(self, spark, stream, method):
+    def test_bad_k_rejected_before_a_job(self, spark, stream):
         """The constructor's ``ValueError``, raised on the driver."""
         _, df = stream
         tracker = spark.sparkContext.statusTracker()
         jobs = tracker.getJobIdsForGroup()
         with pytest.raises(ValueError, match="k must be an even integer >= 2, got 3"):
-            agg.build_sketch(df, "x", k=3, method=method)
+            agg.build_sketch(df, "x", k=3)
         with pytest.raises(TypeError, match="integer"):
-            agg.build_sketch(df, "x", k=4.5, method=method)
+            agg.build_sketch(df, "x", k=4.5)
         assert tracker.getJobIdsForGroup() == jobs
 
-    def test_depth_with_map_partitions_rejected_before_a_job(self, spark, stream):
-        """``depth`` sets treeReduce's depth: a driver-side merge has none."""
-        _, df = stream
-        tracker = spark.sparkContext.statusTracker()
-        jobs = tracker.getJobIdsForGroup()
-        with pytest.raises(TypeError, match="tree_aggregate"):
-            agg.build_sketch(df, "x", method="map_partitions", depth=2)
-        assert tracker.getJobIdsForGroup() == jobs
-
-    @pytest.mark.parametrize("method", ["map_partitions", "tree_aggregate"])
     @pytest.mark.parametrize(
         "seed, error", [(-1, ValueError), (1.5, TypeError), (np.random.SeedSequence(1), TypeError)]
     )
-    def test_bad_seed_rejected_before_a_job(self, spark, stream, method, seed, error):
+    def test_bad_seed_rejected_before_a_job(self, spark, stream, seed, error):
         """The error a task would raise, raised on the driver instead.  A
         ``SeedSequence`` seeds a ``ReqSketch`` but cannot be an entry of
         the executors' ``[seed, partition_id]`` entropy."""
@@ -131,79 +115,32 @@ class TestMergeShapes:
         tracker = spark.sparkContext.statusTracker()
         jobs = tracker.getJobIdsForGroup()
         with pytest.raises(error):
-            agg.build_sketch(df, "x", seed=seed, method=method)
+            agg.build_sketch(df, "x", seed=seed)
         assert tracker.getJobIdsForGroup() == jobs
-
-
-class TestTreeAggregate:
-    def test_weight_and_accuracy(self, spark):
-        n = 5_000
-        arr = sd.stream_array("permutation", n, seed=9)
-        df = sd.stream_df(spark, "permutation", n, seed=9, num_partitions=6)
-        sk = agg.build_sketch(df, "x", k=16, seed=10, method="tree_aggregate")
-        assert sk.total_weight() == n
-        ex = ExactRanks(arr)
-        ranks = np.unique(np.clip(np.logspace(0, np.log10(n), 15).astype(int), 1, n))
-        ys = ex.values_at_ranks(ranks)
-        rel = relative_errors(sk.ranks(ys), ex.ranks(ys))
-        assert rel.max() < 0.1, rel.max()
-
-    def test_depth_variants(self, spark):
-        n = 3_000
-        df = sd.stream_df(spark, "uniform", n, seed=11, num_partitions=6)
-        for depth in (1, 2, 3):
-            sk = agg.build_sketch(
-                df, "x", k=16, seed=12, method="tree_aggregate", depth=depth
-            )
-            assert sk.total_weight() == n
-
-    def test_depth_one_equals_sequential_merge(self, spark, stream):
-        """treeReduce at depth 1 folds the same partials, in the same
-        order, as the driver's sequential merge: bit-identical answers."""
-        _, df = stream
-        tree = agg.build_sketch(df, "x", k=16, seed=14, method="tree_aggregate", depth=1)
-        seq = agg.merge_sequential(
-            agg.partition_sketches(df, "x", k=16, seed=14)
-        )
-        qs = np.linspace(0, N, 41)
-        assert np.array_equal(tree.ranks(qs), seq.ranks(qs))
-        assert tree.num_retained() == seq.num_retained()
 
     def test_empty_input_raises(self, spark):
         import pandas as pd
 
         df = spark.createDataFrame(pd.DataFrame({"x": [1.0]})).filter("x > 2")
         with pytest.raises(ValueError):
-            agg.build_sketch(df, "x", method="tree_aggregate")
-
-    def test_empty_input_raises_map_partitions(self, spark):
-        import pandas as pd
-
-        df = spark.createDataFrame(pd.DataFrame({"x": [1.0]})).filter("x > 2")
-        with pytest.raises(ValueError):
-            agg.build_sketch(df, "x", method="map_partitions")
+            agg.build_sketch(df, "x")
 
 
 class TestPinnedBytes:
     """A Spark build's bytes are fixed by its input, layout, ``k`` and
     ``seed``: a refactor of the builders must not change them."""
 
-    DIGESTS = {
-        "map_partitions": "b1acbada5c39980944cc221fd2bb6feb38b0b176ae05bbb1cc9989e387e61fb6",
-        "tree_aggregate": "0447277a384efb21d5b7142fa23e604087fb8f7878c04e421712f8f641abb162",
-    }
+    DIGEST = "b1acbada5c39980944cc221fd2bb6feb38b0b176ae05bbb1cc9989e387e61fb6"
 
-    @pytest.mark.parametrize("method", sorted(DIGESTS))
-    def test_build_bytes_pinned(self, spark, method):
+    def test_build_bytes_pinned(self, spark):
         from pyspark.sql import functions as F
 
         df = spark.range(0, 50_000, 1, 4).select(
             ((F.col("id") * 7919) % 50_000).cast("double").alias("x")
         )
-        depth = {"depth": 2} if method == "tree_aggregate" else {}
-        sk = agg.build_sketch(df, "x", k=16, seed=5, method=method, **depth)
+        sk = agg.build_sketch(df, "x", k=16, seed=5)
         assert sk.n == 50_000 and sk.num_levels > 1
-        assert hashlib.sha256(serde.to_bytes(sk)).hexdigest() == self.DIGESTS[method]
+        assert hashlib.sha256(serde.to_bytes(sk)).hexdigest() == self.DIGEST
 
     def test_build_bytes_do_not_depend_on_arrow_batch_size(self, spark):
         """``fill_sketch`` updates once per Arrow batch; the batch size
@@ -247,9 +184,8 @@ class TestValueTypes:
     def test_every_shape_keeps_the_same_items(self, spark, name):
         dtype, values, items = VALUE_TYPES[name]
         df = spark.createDataFrame([(0, v) for v in values], f"g int, x {dtype}")
-        sketches = [agg.build_sketch(df, "x", k=8, method=m) for m in ("map_partitions", "tree_aggregate")]
         (row,) = udaf.group_sketches(df, ["g"], "x", k=8).collect()
-        sketches.append(serde.from_bytes(row["sketch"]))
+        sketches = [agg.build_sketch(df, "x", k=8), serde.from_bytes(row["sketch"])]
         assert row["n"] == len(items)
         for sk in sketches:
             ((_, level0),) = sk.level_arrays()
