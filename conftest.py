@@ -3,38 +3,23 @@ import sys
 
 
 def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+    """Driver JVM memory: half of MemTotal, clamped to 2g..8g.
 
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
-
-    The cgroup read is best-effort: the sandbox runs under gVisor, whose
-    sysfs emulation may not pass the host limit through. An unbounded
-    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > the MemTotal
+    rule > 2g when /proc/meminfo cannot be read.  It is the rule of the
+    tier-1 command in ROADMAP.md.  spark.driver.memory is read at JVM
+    launch, not from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS
+    before pyspark is imported anywhere: this runs at conftest import,
+    which pytest loads before any test module.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
-    for p in (
-        "/sys/fs/cgroup/memory.max",
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-    ):
-        try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
-            continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError, IndexError):
+        return "2g"
+    return f"{min(max(kib // 2 // 2**20, 2), 8)}g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
@@ -80,11 +65,9 @@ def spark() -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line in the test output with the driver's memory and master.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
-        f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
         f"master={s.sparkContext.master} "
         f"defaultParallelism={s.sparkContext.defaultParallelism}",
         file=sys.stderr,

@@ -23,7 +23,8 @@ Versions 1 and 2, retired formats, have no reader.  ``from_bytes``
 checks the whole blob before it builds a sketch and raises
 ``ValueError`` on any malformed input, a level out of order included.
 It accepts only states a sketch can reach: no level holds B items, as
-none does at rest, and a fixed-k blob's k_const is ``params.K_CONST``.
+none does at rest, the top level's schedule state is 0 and every lower
+level's at least 1, and a fixed-k blob's k_const is ``params.K_CONST``.
 It accepts any bytes-like object and copies only one that is not
 ``bytes``: a decoded sketch's level arrays are read-only views of the
 blob (``RelativeCompactor`` never writes into a level array in place),
@@ -188,6 +189,11 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
         raise ValueError(f"a level holds B = {B} or more items")
     if sum(map(lshift, counts, range(L))) != n:
         raise ValueError(f"level weights do not sum to n = {n}")
+    # A level compacts only into a level above it, so at rest the top
+    # level has never compacted, and every level below it has, or has
+    # ORed in the state of an operand's level that has.
+    if [lv_state == 0 for lv_state, _ in levels] != [False] * (L - 1) + [True]:
+        raise ValueError("the top level's schedule state must be 0 and every lower level's at least 1")
     items = np.frombuffer(blob, _ITEM, total, table_end)
     if np.isnan(items).any():
         raise ValueError("NaN item in sketch blob")
@@ -342,6 +348,7 @@ def decode_column(array) -> SketchColumn:
     lo = _segment_sums(terms & _LOW32, first, L)
     hi = _segment_sums(terms >> np.uint64(32), first, L) + (lo >> np.uint64(32))
     require((hi == n >> np.uint64(32)) & ((lo & _LOW32) == n & _LOW32))
+    require((table["state"] == 0) == (h == L[owner] - 1))
 
     # Items.
     item_lo = np.concatenate([[0], np.cumsum(counts.astype(np.int64))])
@@ -362,16 +369,17 @@ def merge_column(array) -> ReqSketch:
     rows left to right into the first row's sketch.
 
     The bytes are those of ``merge_sequential([from_bytes(b) for b in
-    blobs])``.  An operand with one level in state 0 and n > 0, of fixed
-    k with the accumulator's k and schedule (a fixed-k merge reads no
-    other parameter) and an N no larger than its N needs no special
-    compaction, and its merge (``ReqSketch._absorb``, given the
-    operand's N) grows the accumulator if need be and appends its items
-    to level 0.  Such operands are merged without a sketch of their
-    own: one at a time where one grows the accumulator, and otherwise a
-    run at once, given the run's largest N, up to the operand at which
-    level 0 reaches B.  Every other operand goes through
-    ``ReqSketch.merge``.  Raises ``ValueError`` for an empty column.
+    blobs])``.  An operand with one level (in state 0, as every top
+    level is) and n > 0, of fixed k with the accumulator's k and schedule
+    (a fixed-k merge reads no other parameter) and an N no larger than
+    its N needs no special compaction, and its merge
+    (``ReqSketch._absorb``, given the operand's N) grows the accumulator
+    if need be and appends its items to level 0.  Such operands are
+    merged without a sketch of their own: one at a time where one grows
+    the accumulator, and otherwise a run at once, given the run's largest
+    N, up to the operand at which level 0 reaches B.  Every other operand
+    goes through ``ReqSketch.merge``.  Raises ``ValueError`` for an empty
+    column.
     """
     col = decode_column(array)
     if not len(col):
@@ -379,7 +387,7 @@ def merge_column(array) -> ReqSketch:
     acc = col.sketch(0)
     head = col.head
     plain = (
-        (head["L"] == 1) & (col.states[col.level_lo[:-1]] == 0) & (head["n"] > 0)
+        (head["L"] == 1) & (head["n"] > 0)
         & (head["khat"] == _NAN_U64) & (head["khat"][0] == _NAN_U64) & (head["k"] == acc.k)
         & (head["sched"] == _SCHEDULES.index(acc.schedule)) & (head["N_hi"] == 0)
     ).tolist()

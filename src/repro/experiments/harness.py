@@ -27,8 +27,9 @@ def format_table(df: pd.DataFrame, title: str = "") -> str:
     return f"== {title} ==\n{body}" if title else body
 
 
-def rank_grid(n: int, *, per_decade: int = 3) -> np.ndarray:
-    """Log-spaced true ranks from 1 to n (inclusive), deduplicated.
+def rank_grid(n: int) -> np.ndarray:
+    """Log-spaced true ranks from 1 to n (inclusive), three per decade,
+    deduplicated.
 
     Covers the low-rank tail densely — the regime where relative error
     differs from additive error.
@@ -37,7 +38,7 @@ def rank_grid(n: int, *, per_decade: int = 3) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     pts = np.unique(
         np.round(
-            np.logspace(0, np.log10(n), num=max(2, int(np.log10(n) * per_decade) + 1))
+            np.logspace(0, np.log10(n), num=max(2, int(np.log10(n) * 3) + 1))
         ).astype(np.int64)
     )
     return np.clip(pts, 1, n)

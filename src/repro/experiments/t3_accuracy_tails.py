@@ -30,14 +30,14 @@ PAPER_CLAIM = (
 K_REQ = 64
 
 
-def run(spark=None, *, quick: bool = False, kind: str = "permutation") -> pd.DataFrame:
+def run(spark=None, *, quick: bool = False) -> pd.DataFrame:
     n = 1 << (16 if quick else 20)
     seeds = range(3) if quick else range(7)
     ranks = rank_grid(n)
     acc: dict[str, list[np.ndarray]] = {"req": [], "kll": [], "sample": []}
     req_space = kll_space = samp_space = 0
     for seed in seeds:
-        data = stream_array(kind, n, seed=100 + seed)
+        data = stream_array("permutation", n, seed=100 + seed)
         exact = ExactRanks(data)
         req = ReqSketch(K_REQ, seed=seed).update(data)
         req_space = req.num_retained()

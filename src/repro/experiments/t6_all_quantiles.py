@@ -22,22 +22,24 @@ PAPER_CLAIM = (
     "Head exact: ranks <= B/2 have zero error always."
 )
 
+K = 64
 
-def run(spark=None, *, quick: bool = False, k: int = 64) -> pd.DataFrame:
+
+def run(spark=None, *, quick: bool = False) -> pd.DataFrame:
     n = 1 << (14 if quick else 17)
     seeds = range(3) if quick else range(10)
     rows = []
     for seed in seeds:
         data = stream_array("permutation", n, seed=300 + seed)
         exact = ExactRanks(data)
-        sk = ReqSketch(k, seed=seed).update(data)
+        sk = ReqSketch(K, seed=seed).update(data)
         ys = np.arange(1, n + 1, dtype=np.float64)  # every distinct item
         rel = relative_errors(sk.ranks(ys), exact.ranks(ys))
         head = sk.protected_head
         rows.append(
             {
                 "seed": seed,
-                "k": k,
+                "k": K,
                 "retained": sk.num_retained(),
                 "max_rel_all_y": float(rel.max()),
                 "mean_rel_all_y": float(rel.mean()),

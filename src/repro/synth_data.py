@@ -61,56 +61,6 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
     return spark.createDataFrame(pdf)
 
 
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
-    n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "c_custkey": np.arange(1, n + 1),
-            "c_nationkey": g.integers(0, 25, n),
-            "c_acctbal": (g.random(n) * 10000 - 1000).round(2),
-            "c_mktsegment": g.choice(
-                ["BUILDING", "AUTOMOBILE", "MACHINERY", "HOUSEHOLD", "FURNITURE"], n
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
-
-
 # --------------------------------------------------------------------------
 # Stream generators for the quantile-sketch experiments (REQ reproduction).
 # Pure-numpy variants (for driver-side streaming tests) plus Spark wrappers.

@@ -29,8 +29,23 @@ def t3():
 
 
 @pytest.fixture(scope="module")
-def t4(spark):
-    return t4_mergeability.run(spark, quick=True)
+def t4_run(spark):
+    """T4's quick table, and how many times it built partials."""
+    builds, build = 0, t4_mergeability.partition_sketches
+
+    def counted(*args, **kwargs):
+        nonlocal builds
+        builds += 1
+        return build(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(t4_mergeability, "partition_sketches", counted)
+        return t4_mergeability.run(spark, quick=True), builds
+
+
+@pytest.fixture(scope="module")
+def t4(t4_run):
+    return t4_run[0]
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +118,11 @@ class TestT4:
         stream_err = t4[t4["build"] == "driver_stream"]["max_rel_err"].iloc[0]
         # No distributed build an order of magnitude worse than streaming.
         assert t4["max_rel_err"].max() <= max(10 * max(stream_err, 0.005), 0.05)
+
+    def test_one_build_of_partials_per_partition_count(self, t4, t4_run):
+        """The balanced and chain rows merge the same partials."""
+        distributed = t4[t4["build"] != "driver_stream"]
+        assert t4_run[1] == distributed["partitions"].nunique() == 2
 
     def test_requires_spark(self):
         with pytest.raises(ValueError):

@@ -326,6 +326,9 @@ CORRUPTIONS = {
     "has_uint32_2": ("fixed_k", lambda sk: (90, "<B", 2), "has_uint32"),
     "even_increment": ("fixed_k", lambda sk: (74, "<Q", 2), "odd"),
     "weights_not_n": ("fixed_k", lambda sk: (38, "<Q", sk.n + 1), "sum to n"),
+    # Level 0's state at byte 95 and level 1's, the top's, at byte 107.
+    "top_level_in_state_1": ("fixed_k", lambda sk: (107, "<Q", 1), "top level's schedule state must be 0"),
+    "lower_level_in_state_0": ("fixed_k", lambda sk: (95, "<Q", 0), "every lower level's at least 1"),
     "nan_item": ("fixed_k", lambda sk: (_first_item(sk), "<d", math.nan), "NaN"),
     "nan_last_item": (
         "schedule_all",
@@ -690,15 +693,6 @@ class TestMergeColumn:
         assert merged.protected_head == sizes[2] // 2
         assert serde.to_bytes(merged) == _rollup_bytes(blobs)
 
-    def test_one_level_blob_with_a_schedule_state(self):
-        """A valid one-level blob whose level state is not 0 (no encoder
-        writes one) is merged with its state ORed in."""
-        blobs = [serde.to_bytes(ReqSketch(8, seed=s).update(_items(10 + s))) for s in range(3)]
-        blobs[1] = _patched(blobs[1], 95, "<Q", 5)
-        merged = serde.merge_column(pa.array(blobs, pa.binary()))
-        assert merged.levels[0].state == 5
-        assert serde.to_bytes(merged) == _rollup_bytes(blobs)
-
     @pytest.mark.parametrize(
         "first, second",
         [
@@ -726,19 +720,4 @@ class TestMergeColumn:
         blobs = [serde.to_bytes(ReqSketch(4, N0=N0).update(_items(5))) for N0 in (None, 2 ** 64 + 5, None)]
         merged = serde.merge_column(pa.array(blobs, pa.binary()))
         assert merged.N >= 2 ** 64 + 5
-        assert serde.to_bytes(merged) == _rollup_bytes(blobs)
-
-    def test_two_level_blob_with_level_0_in_state_0(self):
-        """A valid blob whose level 0 is in state 0 above a level 1 (no
-        encoder writes one) is merged level by level."""
-        blobs = [
-            serde.to_bytes(ReqSketch(4, seed=0, N0=4096).update(_items(10))),
-            serde.to_bytes(ReqSketch(4, seed=1).update(_items(50))),
-            serde.to_bytes(ReqSketch(4, seed=2).update(_items(10))),
-        ]
-        acc, sk = serde.from_bytes(blobs[0]), serde.from_bytes(blobs[1])
-        assert sk.num_levels == 2 and sk.levels[0].state > 0 and sk.N <= acc.N
-        blobs[1] = _patched(blobs[1], 95, "<Q", 0)
-        assert serde.from_bytes(blobs[1]).levels[0].state == 0
-        merged = serde.merge_column(pa.array(blobs, pa.binary()))
         assert serde.to_bytes(merged) == _rollup_bytes(blobs)
