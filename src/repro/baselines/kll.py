@@ -19,6 +19,7 @@ rule is KLL's own.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, List
 
 import numpy as np
@@ -34,9 +35,11 @@ class KllSketch(estimator.Queries):
     MIN_CAP = 2
 
     def __init__(self, k: int = 200, *, seed: int = 0) -> None:
-        if k < 4:
+        """An empty sketch whose top level holds ``k`` items, an integer
+        >= 4 (``TypeError`` for one that is not an integer)."""
+        self.k = operator.index(k)
+        if self.k < 4:
             raise ValueError(f"k must be >= 4, got {k}")
-        self.k = int(k)
         self.levels: List[RelativeCompactor] = [RelativeCompactor()]
         self.n = 0
         self.rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""Parameter formulas of the REQ sketch (paper Eqs. (6), (15), (25), (36)).
+"""Parameter formulas of the REQ sketch (paper Eqs. (6), (15), (36)).
 
 Terminology (matching the paper):
 
@@ -6,21 +6,21 @@ Terminology (matching the paper):
             Must be an even integer >= 2.
 * ``num_sections`` — sections per buffer: ceil(log2(N / k)) in the
             streaming setting (Algorithm 1), one more in the mergeable
-            setting (Eq. 15).
+            setting (Eq. 15), which every sketch uses.
 * ``B``   — buffer capacity per level: 2 * k * num_sections.
 * ``N``   — current upper bound on the total input size; the unknown-n
             schedule squares it (N_{i+1} = N_i^2) whenever n exceeds it.
 
-The theorem constants (2^5 * k-hat, N_0 = 2^8 * k-hat, ...) are proof
-artifacts; the experiment factories default to the streaming constant of
-Eq. (6), and tests pin both sets of formulas exactly as printed.
+The section size k is fixed for a sketch's life (DataSketches practice):
+only num_sections grows with N.  The paper's mergeable analysis instead
+recomputes k(N) each epoch from k-hat (Eqs. (15) and (25)), with proof
+constants; no caller needs that.  The factories derive k from Eq. (6) or
+Eq. (36), and tests pin those formulas exactly as printed.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-K_CONST = 2 ** 5  # Eq. (15)'s constant; the k_const of every fixed-k sketch
 
 
 def _even_at_least(x: float, lo: int = 2) -> int:
@@ -38,24 +38,6 @@ def k_streaming(eps: float, delta: float, n: int) -> int:
     _check_eps_delta(eps, delta)
     log_en = max(1.0, math.log2(max(2.0, eps * n)))
     return 2 * math.ceil((4.0 / eps) * math.sqrt(math.log(1.0 / delta) / log_en))
-
-
-def khat_mergeable(eps: float, delta: float) -> float:
-    """k-hat of Eq. (25): (1/eps) * sqrt(ln(1/delta)); constant across growth."""
-    _check_eps_delta(eps, delta)
-    return (1.0 / eps) * math.sqrt(math.log(1.0 / delta))
-
-
-def k_of_N(khat: float, N: int, *, const: int = K_CONST) -> int:
-    """Section size per Eq. (15): k(N) = const * ceil(khat / sqrt(log2(N/khat))).
-
-    ``const`` defaults to the paper's ``K_CONST``; experiments may pass a
-    smaller constant (DESIGN.md) since theorem constants are loose.
-    """
-    if khat <= 0:
-        raise ValueError(f"khat must be positive, got {khat}")
-    log_term = max(1.0, math.log2(max(2.0, N / khat)))
-    return _even_at_least(const * math.ceil(khat / math.sqrt(log_term)))
 
 
 def k_small_delta(eps: float, delta: float) -> int:
@@ -82,7 +64,7 @@ def buffer_size(k: int, num_sections: int) -> int:
 def initial_N(k: int) -> int:
     """First upper bound N_0 of the growth schedule.
 
-    The paper uses N_0 = ceil(2^8 * khat) (App. C); with a fixed
+    The paper uses N_0 = ceil(2^8 * k-hat) (App. C); with a fixed
     user-chosen k we start at 8*k — three sections — so small inputs get
     small buffers and N squares from there.
     """

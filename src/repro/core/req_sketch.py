@@ -16,12 +16,10 @@ h+1, where items count with weight 2^h.  The sketch supports
 * rank / CDF / quantile queries through one cached sorted view of the
   weighted coreset of all levels (``estimator.Queries``).
 
-Two section-size policies, one per sketch:
-
-* ``ReqSketch(k=...)`` — fixed even section size k (DataSketches
-  practice); buffers grow only via num_sections as N squares.
-* ``ReqSketch(khat=...)`` or ``from_error_mergeable(eps, delta)`` —
-  adaptive k(N) per the paper's Eq. (15), recomputed at every N growth.
+The section size k is fixed (DataSketches practice): buffers grow only
+via num_sections as N squares.  The paper's mergeable analysis instead
+recomputes k(N) from k-hat at every growth (Eq. (15)); no caller needs
+that, and a fixed k keeps one policy in the sketch and on the wire.
 
 ``schedule="all"`` turns the instance into the paper's naive
 protect-half strawman (always compact the whole top half) with the
@@ -29,7 +27,6 @@ protect-half strawman (always compact the whole top half) with the
 """
 from __future__ import annotations
 
-import math
 import operator
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -46,8 +43,8 @@ Pcg64Fields = Tuple[int, int, int, int]
 class ReqSketch(estimator.Queries):
     """Mergeable relative-error streaming quantiles sketch.
 
-    ``k``, ``N`` and ``B`` are the current epoch's section size, bound on
-    n and buffer size; they change together when N squares.
+    ``k`` is the section size.  ``N`` and ``B`` are the current epoch's
+    bound on n and buffer size; they change together when N squares.
 
     A generator costs tens of microseconds to build, as much as decoding a
     small sketch, and a decoded sketch that is only merged, or a group
@@ -61,60 +58,35 @@ class ReqSketch(estimator.Queries):
 
     def __init__(
         self,
-        k: Optional[int] = None,
+        k: int = 32,
         *,
-        khat: Optional[float] = None,
-        k_const: Optional[int] = None,
         seed: Union[int, np.random.SeedSequence] = 0,
         schedule: str = "req",
         N0: Optional[int] = None,
     ) -> None:
-        """An empty sketch with fixed section size ``k`` (32 if neither
-        ``k`` nor ``khat`` is given), or adaptive k(N) from ``khat`` and
-        ``k_const`` (Eq. (15); ``k_const`` defaults to ``params.K_CONST``).
-        Passing ``k`` with ``khat``, or ``k_const`` without it, raises
-        ``TypeError``: a sketch has one section-size policy.
+        """An empty sketch with section size ``k``, an even integer >= 2
+        (``TypeError`` for one that is not an integer).
 
-        ``k`` and ``k_const`` are integers (``TypeError`` otherwise): an
-        even ``k`` >= 2 and a positive ``k_const``.  ``khat`` is positive,
-        and 8 * ``khat`` is finite (``ValueError`` otherwise).  ``seed`` (a
-        non-negative int or a ``numpy.random.SeedSequence``) seeds the
-        coin-flip generator, built on first use; assign ``rng`` to install
-        a ready one.  ``N0``, an integer of at least 2 (``TypeError`` for
-        one that is not an integer), overrides the initial bound on n.  A
-        section size the wire format cannot hold (2**32 or more, as a fixed
-        ``k`` or as k(N) at the initial bound) raises ``ValueError``.
+        ``seed`` (a non-negative int or a ``numpy.random.SeedSequence``)
+        seeds the coin-flip generator, built on first use; assign ``rng``
+        to install a ready one.  ``N0``, an integer of at least 2
+        (``TypeError`` for one that is not an integer), overrides the
+        initial bound on n.  A ``k`` the wire format cannot hold (2**32 or
+        more) raises ``ValueError``.
         """
-        if khat is not None and k is not None:
-            raise TypeError("pass a fixed k or a khat, not both")
-        if khat is None and k_const is not None:
-            raise TypeError("k_const sets k(N) of Eq. (15): pass it with khat, not with a fixed k")
         if schedule not in ("req", "all"):
             raise ValueError(f"schedule must be 'req' or 'all', got {schedule!r}")
         # Checked here, as the generator is built only at the first draw.
         # A type and sign check: building a SeedSequence costs microseconds.
         if not isinstance(seed, np.random.SeedSequence) and operator.index(seed) < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        k_const = P.K_CONST if k_const is None else operator.index(k_const)
-        if k_const <= 0:
-            raise ValueError(f"k_const must be a positive integer, got {k_const}")
-        # As the decoders check it; the initial bound on n is 8 * k-hat.
-        if khat is not None and not (khat > 0 and math.isfinite(8 * khat)):
-            raise ValueError(f"k-hat must be finite and positive, got {khat}")
-        self._khat = khat
-        self._k_const = k_const
         self.schedule = schedule
-        if khat is None:
-            self.k = 32 if k is None else operator.index(k)
-            N = P.initial_N(self.k)
-        else:
-            N = max(P.initial_N(2), math.ceil(8 * khat))
+        self.k = operator.index(k)
+        N = P.initial_N(self.k)  # raises for a k that is not even and >= 2
         self.N = operator.index(N0) if N0 is not None else N
         if self.N < 2:
             raise ValueError(f"N0 must be >= 2, got {N0}")
-        self.k = self._k_at(self.N)
-        # The wire's k field is a u32.  Checked once: a fixed k never
-        # changes, k(N) never grows with N, and a merge keeps the target's k.
+        # The wire's k field is a u32.  Checked once: k never changes.
         if self.k >> 32:
             raise ValueError(f"k = {self.k} does not fit the format's 32 bits")
         self.B = P.geometry(self.k, self.N)
@@ -132,17 +104,6 @@ class ReqSketch(estimator.Queries):
         """Known-(upper bound on)-n parameterization per Eq. (6) / Theorem 13."""
         k = P.k_streaming(eps, delta, n)
         return cls(k, seed=seed, N0=max(n, P.initial_N(k)))
-
-    @classmethod
-    def from_error_mergeable(
-        cls, eps: float, delta: float, *, seed: int = 0, k_const: int = P.K_CONST
-    ) -> "ReqSketch":
-        """Unknown-n parameterization per Eqs. (15)/(25); k adapts as N grows.
-
-        ``k_const`` defaults to the paper's proof constant ``K_CONST``;
-        pass a smaller even factor for practical space (DESIGN.md).
-        """
-        return cls(seed=seed, khat=P.khat_mergeable(eps, delta), k_const=k_const)
 
     @classmethod
     def from_error_small_delta(
@@ -192,8 +153,7 @@ class ReqSketch(estimator.Queries):
         valid while ``self`` changes, as no code writes into a level
         array in place; so ``other`` may be ``self``.  The target may
         share read-only level arrays with it.  Both operands must share
-        the section-size policy (identical fixed k, or identical k-hat)
-        and schedule flavour.
+        the section size k and the schedule flavour.
         """
         self._check_mergeable(other)
         if other.n:
@@ -226,7 +186,7 @@ class ReqSketch(estimator.Queries):
         self._grow_to(max(N, self.n + n))
         if N < self.N and len(levels) > 1:
             lagging = [RelativeCompactor(state, items) for state, items in levels]
-            self._special_compact(lagging, P.geometry(self._k_at(N), N))
+            self._special_compact(lagging, P.geometry(self.k, N))
             levels = [(lv.state, lv.values()) for lv in lagging]
         self.n += n
         self._min_B = min(self._min_B, min_B)
@@ -247,28 +207,27 @@ class ReqSketch(estimator.Queries):
     # ------------------------------------------------------------------- state
 
     def _state(self) -> tuple:
-        """The whole state: ``(schedule, k, k-hat, k_const, N, n, min_B,
-        generator source, [(schedule state, items) per level])``, k-hat
-        None and k_const ``params.K_CONST`` for a fixed k.  The source is
-        the generator's PCG64 fields once it is built.  ``copy`` and
+        """The whole state: ``(schedule, k, N, n, min_B, generator source,
+        [(schedule state, items) per level])``.  The source is the
+        generator's PCG64 fields once it is built.  ``copy`` and
         ``serde`` read a sketch only through this, and ``_from_state``
         rebuilds it."""
         return (
-            self.schedule, self.k, self._khat, self._k_const, self.N, self.n, self._min_B,
+            self.schedule, self.k, self.N, self.n, self._min_B,
             self._rng_src if self._rng is None else self._rng_state(),
             [(lv.state, lv.values()) for lv in self.levels],
         )
 
     @classmethod
     def _from_state(
-        cls, schedule: str, k: int, khat: Optional[float], k_const: int, N: int, n: int,
-        min_B: int, rng_src, levels: List[Tuple[int, np.ndarray]],
+        cls, schedule: str, k: int, N: int, n: int, min_B: int, rng_src,
+        levels: List[Tuple[int, np.ndarray]],
     ) -> "ReqSketch":
         """The sketch of a ``_state()``, which it takes as valid (the
         decoder checks a blob's first).  Its levels share the item arrays,
         and its generator is built from ``rng_src`` at its first draw."""
         sk = cls.__new__(cls)
-        sk.schedule, sk.k, sk._khat, sk._k_const, sk.N = schedule, k, khat, k_const, N
+        sk.schedule, sk.k, sk.N = schedule, k, N
         sk.B = P.geometry(k, N)
         sk.n, sk._min_B, sk._rng_src = n, min_B, rng_src
         sk.levels = [RelativeCompactor(state, items) for state, items in levels]
@@ -313,15 +272,8 @@ class ReqSketch(estimator.Queries):
             raise TypeError(f"cannot merge ReqSketch with {type(other).__name__}")
         if self.schedule != other.schedule:
             raise ValueError("cannot merge sketches with different schedules")
-        if (self._khat is None) != (other._khat is None):
-            raise ValueError("cannot merge fixed-k with adaptive-k sketches")
-        if self._khat is None:
-            if self.k != other.k:
-                raise ValueError(f"section size mismatch: {self.k} != {other.k}")
-        elif not math.isclose(self._khat, other._khat):
-            raise ValueError(f"k-hat mismatch: {self._khat} != {other._khat}")
-        elif self._k_const != other._k_const:
-            raise ValueError(f"k_const mismatch: {self._k_const} != {other._k_const}")
+        if self.k != other.k:
+            raise ValueError(f"section size mismatch: {self.k} != {other.k}")
 
     def _compact_cascade(self, top: int) -> None:
         """Bottom-up pass: compact every at-capacity level once.
@@ -371,18 +323,10 @@ class ReqSketch(estimator.Queries):
             if len(lv) > half + 1:
                 above.append(lv.compact(self.rng, half))
 
-    def _k_at(self, N: int) -> int:
-        """The section size of the epoch with bound ``N``: the fixed k, or
-        k(N) of Eq. (15)."""
-        if self._khat is None:
-            return self.k
-        return P.k_of_N(self._khat, N, const=self._k_const)
-
     def _grow_once(self) -> None:
         """One parameter-epoch step: special compactions, then N <- N^2."""
         self._special_compact(self.levels, self.B)
         self.N = P.next_N(self.N)
-        self.k = self._k_at(self.N)
         self.B = P.geometry(self.k, self.N)
         # The top level received promotions and new B may still be
         # exceeded in pathological cases; restore capacity.

@@ -19,12 +19,12 @@ Each level's items are written sorted, whatever their order in memory
 (compaction leaves a level's kept items unsorted), so one sketch state
 has one encoding, unique up to the order of tied -0.0 and 0.0 items.
 The sort is stable, so a decoded sketch re-encodes byte for byte.
-Versions 1 and 2, retired formats, have no reader.  ``from_bytes``
+Versions 1 to 3, retired formats, have no reader.  ``from_bytes``
 checks the whole blob before it builds a sketch and raises
 ``ValueError`` on any malformed input, a level out of order included.
 It accepts only states a sketch can reach: no level holds B items, as
-none does at rest, the top level's schedule state is 0 and every lower
-level's at least 1, and a fixed-k blob's k_const is ``params.K_CONST``.
+none does at rest, and the top level's schedule state is 0 and every
+lower level's at least 1.
 It accepts any bytes-like object and copies only one that is not
 ``bytes``: a decoded sketch's level arrays are read-only views of the
 blob (``RelativeCompactor`` never writes into a level array in place),
@@ -47,12 +47,11 @@ those of ``merge_sequential`` over ``from_bytes`` of each blob.
 """
 from __future__ import annotations
 
-import math
 import struct
 from collections import namedtuple
 from itertools import accumulate
 from operator import lshift
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 import pyarrow as pa
@@ -61,14 +60,11 @@ from repro.core import params as P
 from repro.core.req_sketch import ReqSketch
 
 _MAGIC = b"RQSK"
-_VERSION = 3
+_VERSION = 4
 _SCHEDULES = ("req", "all")
-# k-hat's field of a fixed-k sketch: the bits of the canonical quiet NaN.
-_NAN_U64 = 0x7FF8000000000000
 _ITEM = np.dtype("<f8")
 _U64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
-_F8 = struct.Struct("<d")
 # ``struct`` codes by numpy kind and item size.  numpy's own type codes
 # are platform C types: ``np.dtype('<u8').char`` is ``'L'``, which
 # ``struct`` reads as 4 bytes under ``<``.
@@ -88,8 +84,6 @@ def _layout(*fields: Tuple[str, str]) -> Tuple[struct.Struct, np.dtype]:
 
 _HEAD, _HEAD_ROW = _layout(
     ("magic", "S4"), ("version", "u1"), ("sched", "u1"), ("k", "<u4"),
-    ("khat", "<u8"),  # k-hat's float64 bits, _NAN_U64 for a fixed k
-    ("k_const", "<u4"),  # params.K_CONST for a fixed k
     ("N_lo", "<u8"), ("N_hi", "<u8"), ("n", "<u8"), ("min_B", "<u8"),
     ("L", "<u4"),  # level count
     # PCG64 state, inc, has_uint32 and uinteger
@@ -103,17 +97,15 @@ def to_bytes(sketch: ReqSketch) -> bytes:
     """Serialize a ``ReqSketch``."""
     if not isinstance(sketch, ReqSketch):
         raise TypeError(f"only ReqSketch has a wire format, not {type(sketch).__name__}")
-    schedule, k, khat, k_const, N, n, min_B, _, levels = sketch._state()
+    schedule, k, N, n, min_B, _, levels = sketch._state()
     if N >> 128:
         raise ValueError(f"N = {N} does not fit the format's 128 bits")
-    # k needs no check: the constructor refuses one beyond 32 bits.  Nor
-    # does k_const: it is K_CONST for a fixed k, and k(N) >= k_const.
+    # k needs no check: the constructor refuses one beyond 32 bits.
     state, inc, has_uint32, uinteger = sketch._rng_state()
     items = [np.sort(v, kind="stable") for _, v in levels]
     head = _HEAD.pack(*_Head(
         magic=_MAGIC, version=_VERSION, sched=_SCHEDULES.index(schedule), k=k,
-        khat=_NAN_U64 if khat is None else int.from_bytes(_F8.pack(khat), "little"),
-        k_const=k_const, N_lo=N & _U64, N_hi=N >> 64, n=n, min_B=min_B, L=len(items),
+        N_lo=N & _U64, N_hi=N >> 64, n=n, min_B=min_B, L=len(items),
         s_lo=state & _U64, s_hi=state >> 64, i_lo=inc & _U64, i_hi=inc >> 64,
         has_uint32=has_uint32, uinteger=uinteger,
     ))
@@ -123,11 +115,9 @@ def to_bytes(sketch: ReqSketch) -> bytes:
 
 def _header_state(h: _Head) -> tuple:
     """``ReqSketch._state()`` of a header with a known schedule byte,
-    levels left out; k-hat is None only for the canonical NaN."""
+    levels left out."""
     return (
-        _SCHEDULES[h.sched], h.k,
-        None if h.khat == _NAN_U64 else _F8.unpack(h.khat.to_bytes(8, "little"))[0],
-        h.k_const, h.N_lo | h.N_hi << 64, h.n, h.min_B,
+        _SCHEDULES[h.sched], h.k, h.N_lo | h.N_hi << 64, h.n, h.min_B,
         (h.s_lo | h.s_hi << 64, h.i_lo | h.i_hi << 64, h.has_uint32, h.uinteger),
     )
 
@@ -160,22 +150,11 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
     if h.sched >= len(_SCHEDULES):
         raise ValueError(f"unknown schedule byte {h.sched}")
     state = _header_state(h)
-    _, k, khat, k_const, N, n, min_B, _ = state
+    _, k, N, n, min_B, _ = state
     if k < 2 or k % 2:
         raise ValueError(f"k must be an even integer >= 2, got {k}")
-    if k_const == 0:
-        raise ValueError(f"k_const must be a positive integer, got {k_const}")
     if N < 2 or n > N:
         raise ValueError(f"need 2 <= N and n <= N, got N = {N}, n = {n}")
-    if khat is None:
-        if k_const != P.K_CONST:
-            raise ValueError(f"k_const of a fixed-k sketch must be {P.K_CONST}, got {k_const}")
-    elif math.isnan(khat):
-        raise ValueError("k-hat of a fixed-k sketch must be the canonical NaN")
-    elif not (math.isfinite(khat) and khat > 0):
-        raise ValueError(f"k-hat must be finite and positive, got {khat}")
-    elif k != (k_N := _k_of_N(khat, N, k_const)):
-        raise ValueError(f"k = {k} is not k(N) = {k_N}")
     B = P.geometry(k, N)
     if not 0 < min_B <= B:
         raise ValueError(f"need 0 < min_B <= B = {B}, got {min_B}")
@@ -204,14 +183,6 @@ def from_bytes(blob: Union[bytes, bytearray, memoryview]) -> ReqSketch:
     return ReqSketch._from_state(
         *state, [(lv_state, items[end - count : end]) for (lv_state, count), end in zip(levels, ends)]
     )
-
-
-def _k_of_N(khat: float, N: int, k_const: int) -> Optional[int]:
-    """k(N) of an adaptive-k blob, None where k-hat * k_const is beyond a float."""
-    try:
-        return P.k_of_N(khat, N, const=k_const)
-    except OverflowError:
-        return None
 
 
 class SketchColumn:
@@ -314,20 +285,13 @@ def decode_column(array) -> SketchColumn:
     k, L = head["k"], head["L"].astype(np.int64)
     N_lo, N_hi, n = head["N_lo"], head["N_hi"], head["n"]
     table_end = _HEAD.size + _LEVEL.size * L
-    khat = head["khat"].view("<f8")
-    fixed = np.isnan(khat)
-    canonical = (head["khat"] == _NAN_U64) & (head["k_const"] == P.K_CONST)
     require(
         (head["magic"] == _MAGIC) & (head["version"] == _VERSION)
         & (table_end <= sizes) & (head["sched"] < len(_SCHEDULES))
-        & (k >= 2) & (k % 2 == 0) & (head["k_const"] > 0)
+        & (k >= 2) & (k % 2 == 0)
         & ((N_hi > 0) | ((N_lo >= 2) & (n <= N_lo)))
         & (head["has_uint32"] <= 1) & (head["i_lo"] & 1 == 1) & (L >= 1)
-        & np.where(fixed, canonical, np.isfinite(khat) & (khat > 0))
     )
-    for i in np.flatnonzero(~fixed).tolist():
-        N = int(N_lo[i]) | int(N_hi[i]) << 64
-        require(int(k[i]) == _k_of_N(float(khat[i]), N, int(head["k_const"][i])))
     B = _buffer_sizes(k, N_lo, N_hi)
     require((head["min_B"] > 0) & (head["min_B"] <= B))
 
@@ -370,9 +334,9 @@ def merge_column(array) -> ReqSketch:
 
     The bytes are those of ``merge_sequential([from_bytes(b) for b in
     blobs])``.  An operand with one level (in state 0, as every top
-    level is) and n > 0, of fixed k with the accumulator's k and schedule
-    (a fixed-k merge reads no other parameter) and an N no larger than
-    its N needs no special compaction, and its merge
+    level is) and n > 0, with the accumulator's k and schedule (a merge
+    reads no other parameter) and an N no larger than its N needs no
+    special compaction, and its merge
     (``ReqSketch._absorb``, given the operand's N) grows the accumulator
     if need be and appends its items to level 0.  Such operands are
     merged without a sketch of their own: one at a time where one grows
@@ -387,8 +351,7 @@ def merge_column(array) -> ReqSketch:
     acc = col.sketch(0)
     head = col.head
     plain = (
-        (head["L"] == 1) & (head["n"] > 0)
-        & (head["khat"] == _NAN_U64) & (head["khat"][0] == _NAN_U64) & (head["k"] == acc.k)
+        (head["L"] == 1) & (head["n"] > 0) & (head["k"] == acc.k)
         & (head["sched"] == _SCHEDULES.index(acc.schedule)) & (head["N_hi"] == 0)
     ).tolist()
     ns, Ns, min_Bs = head["n"].tolist(), head["N_lo"].tolist(), head["min_B"]

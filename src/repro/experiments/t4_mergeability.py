@@ -54,8 +54,11 @@ def run(spark, *, quick: bool = False) -> pd.DataFrame:
     if spark is None:
         raise ValueError("T4 needs a SparkSession")
     sf = 0.01 if quick else 0.1
-    df = synth_data.lineitem(spark, sf=sf, seed=0).select("l_extendedprice")
-    df = df.cache()
+    # Materialized once, without the lineage of the driver-built rows:
+    # a cached frame's later stages would still ship those rows in every
+    # task.  Its blocks are freed when the JVM collects the checkpointed
+    # RDD; ``unpersist`` does not reach them.
+    df = synth_data.lineitem(spark, sf=sf, seed=0).select("l_extendedprice").localCheckpoint()
     n = df.count()
 
     # Query grid: log-spaced percentiles of the price column incl. tails.
@@ -85,7 +88,6 @@ def run(spark, *, quick: bool = False) -> pd.DataFrame:
 
     out = pd.DataFrame(rows)
     out.attrs["n"] = n
-    df.unpersist()
     return out
 
 

@@ -18,6 +18,16 @@ class TestBasics:
         with pytest.raises(ValueError):
             KllSketch(k=3)
 
+    @pytest.mark.parametrize("k", [200.7, 200.0, "200"])
+    def test_non_integer_k_rejected(self, k):
+        """Not truncated to an integer."""
+        with pytest.raises(TypeError):
+            KllSketch(k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        sk = KllSketch(k=np.int64(200))
+        assert sk.k == 200 and type(sk.k) is int
+
     @pytest.mark.parametrize("n", [1, 10, 1000, 54321])
     def test_weight_conserved(self, n):
         sk = KllSketch(k=30, seed=1).update(stream_array("uniform", n, seed=1))

@@ -1,4 +1,4 @@
-"""Unit tests pinning the paper's parameter formulas (Eqs. 6, 15, 25, 36)."""
+"""Unit tests pinning the paper's parameter formulas (Eqs. 6, 15, 36)."""
 import math
 
 import pytest
@@ -36,30 +36,6 @@ class TestKStreaming:
     def test_rejects_bad_ranges(self, eps, delta):
         with pytest.raises(ValueError):
             P.k_streaming(eps, delta, 1000)
-
-
-class TestKhatAndKofN:
-    def test_khat_formula(self):
-        # Eq. (25): khat = (1/eps) * sqrt(ln(1/delta)).
-        assert P.khat_mergeable(0.1, math.exp(-1)) == pytest.approx(10.0)
-
-    def test_k_of_n_formula_pinned(self):
-        # Eq. (15) with the paper's constant 2^5.
-        khat, N = 100.0, 1 << 20
-        expected = 2 ** 5 * math.ceil(khat / math.sqrt(math.log2(N / khat)))
-        got = P.k_of_N(khat, N)
-        assert got == expected or got == expected + 1  # evenness rounding
-        assert got % 2 == 0
-
-    def test_k_of_n_shrinks_with_n(self):
-        assert P.k_of_N(50.0, 1 << 40) <= P.k_of_N(50.0, 1 << 12)
-
-    def test_custom_const(self):
-        assert P.k_of_N(10.0, 1 << 16, const=2) < P.k_of_N(10.0, 1 << 16, const=32)
-
-    def test_bad_khat(self):
-        with pytest.raises(ValueError):
-            P.k_of_N(0, 1024)
 
 
 class TestKSmallDelta:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact import ExactRanks, relative_errors
-from repro.core import params as P, serde
+from repro.core import serde
 from repro.core.req_sketch import ReqSketch
 from repro.synth_data import stream_array
 
@@ -144,11 +144,11 @@ class TestMergeWithoutCopy:
         assert serde.to_bytes(b) == source
 
 
+# N0 = 16 gives the epochs N = 16, 256, 65 536 and 2**32, each with its own
+# B: a second epoch geometry for every relation of EPOCH_SIZES.
 POLICIES = {
     "fixed": lambda seed, schedule: ReqSketch(8, seed=seed, schedule=schedule),
-    "adaptive": lambda seed, schedule: ReqSketch(
-        seed=seed, schedule=schedule, khat=P.khat_mergeable(0.1, 0.1), k_const=2
-    ),
+    "small_N0": lambda seed, schedule: ReqSketch(4, seed=seed, schedule=schedule, N0=16),
 }
 
 
@@ -194,23 +194,6 @@ class TestMergeCompatibility:
     def test_schedule_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ReqSketch(8).merge(ReqSketch(8, schedule="all").update([1.0]))
-
-    def test_mode_mismatch_rejected(self):
-        adaptive = ReqSketch.from_error_mergeable(0.2, 0.1).update([1.0])
-        with pytest.raises(ValueError):
-            ReqSketch(8).merge(adaptive)
-
-    def test_khat_mismatch_rejected(self):
-        a = ReqSketch.from_error_mergeable(0.2, 0.1)
-        b = ReqSketch.from_error_mergeable(0.1, 0.1).update([1.0])
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_k_const_mismatch_rejected(self):
-        a = ReqSketch.from_error_mergeable(0.1, 0.1, k_const=4)
-        b = ReqSketch.from_error_mergeable(0.1, 0.1, k_const=32).update([1.0])
-        with pytest.raises(ValueError, match="k_const"):
-            a.merge(b)
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(TypeError):
@@ -304,10 +287,12 @@ class TestMergeAccuracy:
         ys = ex.values_at_ranks(np.arange(1, m.protected_head + 1))
         assert np.array_equal(m.ranks(ys), ex.ranks(ys))
 
-    def test_adaptive_mode_merge(self):
+    def test_small_N0_merge(self):
+        """Sketches that start at a small N0, and so grow through more
+        epochs, merge within the bound."""
         n = 50_000
         data = stream_array("permutation", n, seed=50)
-        mk = lambda s: ReqSketch.from_error_mergeable(0.1, 0.1, seed=s, k_const=4)
+        mk = lambda s: ReqSketch(16, seed=s, N0=16)
         a = mk(1).update(data[: n // 3])
         b = mk(2).update(data[n // 3 :])
         a.merge(b)

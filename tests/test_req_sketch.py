@@ -1,6 +1,4 @@
 """Unit tests for the REQ sketch (paper Algorithm 2 + §5 growth)."""
-import math
-
 import numpy as np
 import pytest
 
@@ -85,49 +83,23 @@ class TestBasics:
             ({"k": 6.9}, TypeError, "integer"),
             ({"k": "8"}, TypeError, "integer"),
             ({"k": 3}, ValueError, "k must be an even integer >= 2, got 3"),
-            ({"khat": 1.5, "k_const": 0}, ValueError, "k_const must be a positive integer, got 0"),
-            ({"khat": 1.5, "k_const": -2}, ValueError, "k_const must be a positive integer, got -2"),
-            ({"khat": 1.5, "k_const": 2.0}, TypeError, "integer"),
-            ({"khat": 1.5, "k_const": np.int64(0)}, ValueError, "k_const must be a positive integer"),
-            ({"khat": math.inf}, ValueError, "k-hat must be finite and positive, got inf"),
-            ({"khat": 1e308}, ValueError, "k-hat must be finite and positive, got 1e"),
-            ({"khat": math.nan}, ValueError, "k-hat must be finite and positive, got nan"),
-            ({"khat": 0.0}, ValueError, "k-hat must be finite and positive, got 0.0"),
-            ({"khat": -1.5}, ValueError, "k-hat must be finite and positive, got -1.5"),
             ({"k": 2 ** 32}, ValueError, f"^k = {2 ** 32} does not fit the format's 32 bits"),
-            ({"khat": 1e9}, ValueError, "^k = 18475208640 does not fit the format's 32 bits"),
         ],
     )
     def test_bad_k_rejected_at_construction(self, kwargs, error, match):
-        """Not rounded to an integer, no k_const <= 0 clamped to k = 2, and
-        no k the wire's 32 bits cannot hold."""
+        """Not rounded to an integer, and no k the wire's 32 bits cannot hold."""
         with pytest.raises(error, match=match):
-            ReqSketch(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"k": 64, "khat": 1.5}, "not both"),
-            ({"k": 8, "k_const": 4}, "with khat"),
-            ({"k_const": 4}, "with khat"),
-        ],
-    )
-    def test_one_section_size_policy(self, kwargs, match):
-        """A fixed k or a k-hat, and k_const only with a k-hat: no setting
-        is accepted and then ignored."""
-        with pytest.raises(TypeError, match=match):
             ReqSketch(**kwargs)
 
     def test_default_is_fixed_k_32(self):
         sk = ReqSketch()
-        assert (sk.k, sk._khat, sk._k_const) == (32, None, P.K_CONST)
+        assert sk.k == 32
         assert serde.to_bytes(sk) == serde.to_bytes(ReqSketch(32))
 
     @pytest.mark.parametrize("k", [np.int64(8), np.uint32(8), np.int8(8)])
     def test_integral_numpy_k_accepted(self, k):
         sk = ReqSketch(k).update(np.arange(1000.0))
         assert sk.k == 8 and type(sk.k) is int and sk.num_levels > 1
-        assert ReqSketch(khat=1.5, k_const=np.int32(2)).k == ReqSketch(khat=1.5, k_const=2).k
 
     @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2 ** 70, np.random.SeedSequence(7)])
     def test_good_seeds_accepted(self, seed):
@@ -271,21 +243,9 @@ class TestFactories:
         sk.update(stream_array("uniform", n, seed=1))
         assert sk.N == N_before
 
-    def test_from_error_mergeable_adapts_k(self):
-        sk = ReqSketch.from_error_mergeable(0.1, 0.1, k_const=4)
-        k0 = sk.k
-        sk.update(stream_array("uniform", 200_000, seed=2))
-        assert sk.k <= k0  # k(N) shrinks as N grows
-        assert sk.total_weight() == 200_000
-
     def test_from_error_small_delta(self):
         sk = ReqSketch.from_error_small_delta(0.1, 1e-9, 1 << 16)
         assert sk.k == P.k_small_delta(0.1, 1e-9)
-
-    def test_paper_constants_khat(self):
-        sk = ReqSketch.from_error_mergeable(0.25, 0.05)
-        assert sk._khat == P.khat_mergeable(0.25, 0.05)
-        assert sk.k == P.k_of_N(sk._khat, sk.N)
 
 
 class TestSchedulesShareCode:
@@ -319,8 +279,8 @@ class TestCopy:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: ReqSketch(8, seed=3), lambda: ReqSketch(schedule="all", khat=1.5, k_const=2, N0=64)],
-        ids=["fixed", "adaptive"],
+        [lambda: ReqSketch(8, seed=3), lambda: ReqSketch(4, seed=3, schedule="all", N0=64)],
+        ids=["fixed", "all_N0"],
     )
     def test_copy_sets_what_the_constructor_sets(self, make):
         """``copy`` (``_from_state``) restores every attribute the

@@ -33,11 +33,9 @@ class TestReqRoundtrip:
         assert cp.protected_head == sk.protected_head
 
     def test_roundtrip_preserves_params(self):
-        sk = ReqSketch.from_error_mergeable(0.1, 0.1, k_const=4).update(
-            stream_array("uniform", 10_000, seed=2)
-        )
+        sk = ReqSketch(6, N0=16).update(stream_array("uniform", 10_000, seed=2))
         cp = serde.from_bytes(serde.to_bytes(sk))
-        assert cp.k == sk.k and cp.N == sk.N and cp._khat == sk._khat
+        assert (cp.k, cp.N, cp.B, cp.protected_head) == (sk.k, sk.N, sk.B, sk.protected_head)
 
     def test_roundtrip_preserves_schedule_states(self):
         sk = ReqSketch(8, seed=3, schedule="all").update(stream_array("uniform", 20_000, seed=3))
@@ -83,11 +81,21 @@ def _merged_blob():
     return serde.to_bytes(a.merge(b))
 
 
+def _at(field):
+    """The byte offset of a header field."""
+    return serde._HEAD_ROW.fields[field][1]
+
+
+def _level_at(h):
+    """The byte offset of level ``h``'s row of the level table."""
+    return serde._HEAD.size + serde._LEVEL.size * h
+
+
 def _eager(blob):
     """A decoded sketch with its generator restored at once from the
-    blob's PCG64 fields (offset 58 of the layout)."""
+    blob's PCG64 fields."""
     sk = serde.from_bytes(blob)
-    s_lo, s_hi, i_lo, i_hi, has_uint32, uinteger = struct.unpack_from("<QQQQBI", blob, 58)
+    s_lo, s_hi, i_lo, i_hi, has_uint32, uinteger = struct.unpack_from("<QQQQBI", blob, _at("s_lo"))
     gen = np.random.default_rng()
     gen.bit_generator.state = {
         "bit_generator": "PCG64",
@@ -196,7 +204,7 @@ def _items(n):
 
 
 # name -> (sketch builder, fixture hex, expected decode: n, N, k, schedule,
-# level states, level sizes, ranks of 10, 50 and 90). The adaptive sketch
+# level states, level sizes, ranks of 10, 50 and 90). The "grown" sketch
 # starts at N = 16 and grows once, to 256.  After a deliberate change to
 # the layout or to the algorithm, regenerate the hex and the decode tuple
 # from the builders, from the repository root:
@@ -207,56 +215,55 @@ def _items(n):
 GOLDEN = {
     "fixed_k": (
         lambda: ReqSketch(4, seed=7).update(_items(60)),
-        "5251534b030004000000000000000000f87f200000000004000000000000000000000000"
-        "00003c0000000000000020000000000000000200000071581c9c5b4d26e10d328c9db3ef"
-        "749859d970c05a7f8866bfce8ace961875c400a94106a002000000000000002c00000000"
-        "000000000000000800000000000000000000000000000000000040000000000000084000"
-        "000000000014400000000000001840000000000000224000000000000024400000000000"
-        "0028400000000000002a400000000000002e400000000000003040000000000000334000"
-        "000000000034400000000000003640000000000000374000000000000039400000000000"
-        "003a400000000000003d400000000000003e400000000000004040000000000080404000"
-        "000000000042400000000000804240000000000080434000000000000044400000000000"
-        "004540000000000080454000000000000047400000000000804740000000000080484000"
-        "000000000049400000000000004a400000000000004c400000000000804d400000000000"
-        "004f400000000000805040000000000040514000000000000053400000000000c0534000"
-        "00000000c054400000000000805540000000000040564000000000004057400000000000"
-        "0058400000000000804c400000000000804f400000000000805140000000000080524000"
-        "000000000054400000000000c0554000000000008057400000000000005940",
+        "5251534b040004000000000400000000000000000000000000003c000000000000002000"
+        "0000000000000200000071581c9c5b4d26e10d328c9db3ef749859d970c05a7f8866bfce"
+        "8ace961875c400a94106a002000000000000002c00000000000000000000000800000000"
+        "000000000000000000000000000040000000000000084000000000000014400000000000"
+        "0018400000000000002240000000000000244000000000000028400000000000002a4000"
+        "00000000002e400000000000003040000000000000334000000000000034400000000000"
+        "003640000000000000374000000000000039400000000000003a400000000000003d4000"
+        "00000000003e400000000000004040000000000080404000000000000042400000000000"
+        "804240000000000080434000000000000044400000000000004540000000000080454000"
+        "000000000047400000000000804740000000000080484000000000000049400000000000"
+        "004a400000000000004c400000000000804d400000000000004f40000000000080504000"
+        "0000000040514000000000000053400000000000c053400000000000c054400000000000"
+        "8055400000000000405640000000000040574000000000000058400000000000804c4000"
+        "00000000804f400000000000805140000000000080524000000000000054400000000000"
+        "c0554000000000008057400000000000005940",
         (60, 1024, 4, "req", [2, 0], [44, 8], [7, 31, 54]),
     ),
-    "adaptive_grown": (
-        lambda: ReqSketch.from_error_mergeable(0.5, 0.5, seed=8, k_const=2).update(_items(40)),
-        "5251534b03000200000047cd619149a4fa3f020000000001000000000000000000000000"
-        "00002800000000000000100000000000000002000000316e6a648db241fec2487b1c39eb"
-        "3d072d188c1feb8d7b300fbbfb9c2f86be2d01da2cbefc03000000000000001e00000000"
-        "000000000000000500000000000000000000000000000000000840000000000000184000"
-        "0000000000224000000000000024400000000000002a4000000000000030400000000000"
-        "003340000000000000344000000000000037400000000000003a400000000000003d4000"
-        "00000000003e400000000000804040000000000000424000000000008042400000000000"
-        "0044400000000000804540000000000000474000000000008047400000000000804a4000"
-        "00000000004c400000000000004e400000000000804f4000000000008051400000000000"
-        "40524000000000000054400000000000c054400000000000805640000000000040574000"
-        "000000000049400000000000c05040000000000040534000000000008057400000000000"
-        "405840",
+    "grown": (
+        lambda: ReqSketch(2, seed=8, N0=16).update(_items(40)),
+        "5251534b0400020000000001000000000000000000000000000028000000000000001000"
+        "00000000000002000000316e6a648db241fec2487b1c39eb3d072d188c1feb8d7b300fbb"
+        "fb9c2f86be2d01da2cbefc03000000000000001e00000000000000000000000500000000"
+        "000000000000000000000000000840000000000000184000000000000022400000000000"
+        "0024400000000000002a4000000000000030400000000000003340000000000000344000"
+        "000000000037400000000000003a400000000000003d400000000000003e400000000000"
+        "804040000000000000424000000000008042400000000000004440000000000080454000"
+        "0000000000474000000000008047400000000000804a400000000000004c400000000000"
+        "004e400000000000804f4000000000008051400000000000405240000000000000544000"
+        "00000000c054400000000000805640000000000040574000000000000049400000000000"
+        "c05040000000000040534000000000008057400000000000405840",
         (40, 256, 2, "req", [3, 0], [30, 5], [5, 22, 35]),
     ),
     "schedule_all": (
         lambda: ReqSketch(4, seed=9, schedule="all").update(_items(60)),
-        "5251534b030104000000000000000000f87f200000000004000000000000000000000000"
-        "00003c00000000000000200000000000000002000000a62e48cb7cef3de46ef0694c9684"
-        "e342dbd9488780f9eb0e5843db36872cd92301dea6c8de01000000000000002c00000000"
-        "000000000000000800000000000000000000000000000000000040000000000000084000"
-        "000000000014400000000000001840000000000000224000000000000024400000000000"
-        "0028400000000000002a400000000000002e400000000000003040000000000000334000"
-        "000000000034400000000000003640000000000000374000000000000039400000000000"
-        "003a400000000000003d400000000000003e400000000000004040000000000080404000"
-        "000000000042400000000000804240000000000080434000000000000044400000000000"
-        "004540000000000080454000000000000047400000000000804740000000000080484000"
-        "00000000004a400000000000004c400000000000804d400000000000004f400000000000"
-        "8050400000000000405140000000000040524000000000000053400000000000c0534000"
-        "00000000c054400000000000805540000000000040564000000000004057400000000000"
-        "00584000000000000049400000000000804c400000000000804f40000000000080514000"
-        "00000000405340000000000000554000000000008056400000000000405840",
+        "5251534b040104000000000400000000000000000000000000003c000000000000002000"
+        "00000000000002000000a62e48cb7cef3de46ef0694c9684e342dbd9488780f9eb0e5843"
+        "db36872cd92301dea6c8de01000000000000002c00000000000000000000000800000000"
+        "000000000000000000000000000040000000000000084000000000000014400000000000"
+        "0018400000000000002240000000000000244000000000000028400000000000002a4000"
+        "00000000002e400000000000003040000000000000334000000000000034400000000000"
+        "003640000000000000374000000000000039400000000000003a400000000000003d4000"
+        "00000000003e400000000000004040000000000080404000000000000042400000000000"
+        "804240000000000080434000000000000044400000000000004540000000000080454000"
+        "00000000004740000000000080474000000000008048400000000000004a400000000000"
+        "004c400000000000804d400000000000004f400000000000805040000000000040514000"
+        "0000000040524000000000000053400000000000c053400000000000c054400000000000"
+        "805540000000000040564000000000004057400000000000005840000000000000494000"
+        "00000000804c400000000000804f40000000000080514000000000004053400000000000"
+        "00554000000000008056400000000000405840",
         (60, 1024, 4, "all", [1, 0], [44, 8], [7, 32, 56]),
     ),
 }
@@ -295,40 +302,28 @@ def _patched(blob, offset, fmt, *values):
 
 def _first_item(sk):
     """Offset of level 0's first item: the header, then the level table."""
-    return 95 + 12 * sk.num_levels
+    return _level_at(sk.num_levels)
 
 
 # name -> (golden sketch, (offset, struct format, *values) from the sketch, message)
 CORRUPTIONS = {
-    "version_1": ("fixed_k", lambda sk: (4, "<B", 1), "version"),
-    "schedule_byte_2": ("fixed_k", lambda sk: (5, "<B", 2), "schedule"),
-    "odd_k": ("fixed_k", lambda sk: (6, "<I", 5), "even"),
-    "zero_k": ("fixed_k", lambda sk: (6, "<I", 0), "even"),
-    "zero_k_const": ("fixed_k", lambda sk: (18, "<I", 0), "k_const must be a positive integer, got 0"),
-    "fixed_k_const_4": ("fixed_k", lambda sk: (18, "<I", 4), "k_const of a fixed-k sketch must be 32, got 4"),
-    # k = 2 and N = 2048 (k, k-hat, k_const, N) give B = 2 * 2 * 11 = 44,
-    # the size of level 0; every other check still holds.
-    "level_of_B_items": (
-        "fixed_k",
-        lambda sk: (6, "<IQIQ", 2, 0x7FF8000000000000, params.K_CONST, 2048),
-        "a level holds B = 44 or more items",
-    ),
-    "khat_inf": ("adaptive_grown", lambda sk: (10, "<d", math.inf), "finite"),
-    "khat_zero": ("adaptive_grown", lambda sk: (10, "<d", 0.0), "finite"),
-    "khat_other_nan": ("fixed_k", lambda sk: (10, "<Q", 0x7FF8000000000001), "canonical NaN"),
-    "khat_negative_nan": ("fixed_k", lambda sk: (10, "<Q", 0xFFF8000000000000), "canonical NaN"),
-    "k_not_k_of_N": ("adaptive_grown", lambda sk: (6, "<I", sk.k + 2), r"k\(N\)"),
-    "khat_overflows_k_of_N": ("adaptive_grown", lambda sk: (10, "<d", 1e308), r"k\(N\)"),
-    "N_below_2": ("fixed_k", lambda sk: (22, "<Q", 1), "2 <= N"),
-    "n_above_N": ("fixed_k", lambda sk: (38, "<Q", sk.N + 1), "n <= N"),
-    "min_B_zero": ("fixed_k", lambda sk: (46, "<Q", 0), "min_B"),
-    "min_B_above_B": ("fixed_k", lambda sk: (46, "<Q", sk.B + 1), "min_B"),
-    "has_uint32_2": ("fixed_k", lambda sk: (90, "<B", 2), "has_uint32"),
-    "even_increment": ("fixed_k", lambda sk: (74, "<Q", 2), "odd"),
-    "weights_not_n": ("fixed_k", lambda sk: (38, "<Q", sk.n + 1), "sum to n"),
-    # Level 0's state at byte 95 and level 1's, the top's, at byte 107.
-    "top_level_in_state_1": ("fixed_k", lambda sk: (107, "<Q", 1), "top level's schedule state must be 0"),
-    "lower_level_in_state_0": ("fixed_k", lambda sk: (95, "<Q", 0), "every lower level's at least 1"),
+    "version_1": ("fixed_k", lambda sk: (_at("version"), "<B", 1), "version"),
+    "schedule_byte_2": ("fixed_k", lambda sk: (_at("sched"), "<B", 2), "schedule"),
+    "odd_k": ("fixed_k", lambda sk: (_at("k"), "<I", 5), "even"),
+    "zero_k": ("fixed_k", lambda sk: (_at("k"), "<I", 0), "even"),
+    # k = 2 at N = 1024 gives B = 2 * 2 * 10 = 40, below level 0's 44
+    # items; every other check still holds.
+    "level_of_B_items": ("fixed_k", lambda sk: (_at("k"), "<I", 2), "a level holds B = 40 or more items"),
+    "N_below_2": ("fixed_k", lambda sk: (_at("N_lo"), "<Q", 1), "2 <= N"),
+    "n_above_N": ("fixed_k", lambda sk: (_at("n"), "<Q", sk.N + 1), "n <= N"),
+    "min_B_zero": ("fixed_k", lambda sk: (_at("min_B"), "<Q", 0), "min_B"),
+    "min_B_above_B": ("fixed_k", lambda sk: (_at("min_B"), "<Q", sk.B + 1), "min_B"),
+    "has_uint32_2": ("fixed_k", lambda sk: (_at("has_uint32"), "<B", 2), "has_uint32"),
+    "even_increment": ("fixed_k", lambda sk: (_at("i_lo"), "<Q", 2), "odd"),
+    "weights_not_n": ("fixed_k", lambda sk: (_at("n"), "<Q", sk.n + 1), "sum to n"),
+    # Level 1 is the top level.
+    "top_level_in_state_1": ("fixed_k", lambda sk: (_level_at(1), "<Q", 1), "top level's schedule state must be 0"),
+    "lower_level_in_state_0": ("fixed_k", lambda sk: (_level_at(0), "<Q", 0), "every lower level's at least 1"),
     "nan_item": ("fixed_k", lambda sk: (_first_item(sk), "<d", math.nan), "NaN"),
     "nan_last_item": (
         "schedule_all",
@@ -362,6 +357,13 @@ class TestMalformed:
     def test_bad_magic_rejected(self):
         blob = _golden("fixed_k")[1]
         _rejected(b"RQSX" + blob[4:], "magic")
+
+    def test_retired_version_3_rejected(self):
+        """Version 3 held k-hat (a float64) and k_const (a u32) after k;
+        its blobs have no reader."""
+        blob = _golden("fixed_k")[1]
+        v3 = blob[:4] + b"\x03" + blob[5:10] + struct.pack("<QI", 0x7FF8000000000000, 32) + blob[10:]
+        _rejected(v3, "^unsupported sketch format version 3$")
 
     @pytest.mark.parametrize("name", CORRUPTIONS)
     def test_corrupt_field_rejected(self, name):
@@ -415,13 +417,13 @@ class TestMalformed:
 
     def test_no_levels_rejected(self):
         blob = serde.to_bytes(ReqSketch(4))
-        _rejected(_patched(blob, 54, "<I", 0)[:95], "at least one level")
+        _rejected(_patched(blob, _at("L"), "<I", 0)[: serde._HEAD.size], "at least one level")
 
     def test_N_below_2_rejected_for_an_empty_sketch(self):
         # N0 = 2 makes min_B the B of N = 1 too, so only the N check fails.
         sk = ReqSketch(4, N0=2)
         assert sk.B == params.geometry(4, 1)
-        _rejected(_patched(serde.to_bytes(sk), 22, "<Q", 1), "2 <= N")
+        _rejected(_patched(serde.to_bytes(sk), _at("N_lo"), "<Q", 1), "2 <= N")
 
     def test_weight_beyond_64_bits_rejected(self):
         """One item at level 64 weighs 2**64: no u64 n is its sum."""
@@ -432,8 +434,8 @@ class TestMalformed:
     def test_column_raises_for_its_first_bad_row(self):
         sk, blob = _golden("fixed_k")
         nan = _patched(blob, _first_item(sk), "<d", math.nan)
-        odd_k = _patched(blob, 6, "<I", 5)
-        zero_k = _patched(blob, 6, "<I", 0)
+        odd_k = _patched(blob, _at("k"), "<I", 5)
+        zero_k = _patched(blob, _at("k"), "<I", 0)
         for later in (odd_k, zero_k):
             with pytest.raises(ValueError, match="NaN"):
                 serde.decode_column(pa.array([blob, nan, later], pa.binary()))
@@ -524,7 +526,7 @@ class TestDecoderFuzz:
     @given(name=st.sampled_from([*GOLDEN, *BLOBS]), data=st.data())
     def test_flipped_or_truncated_blob(self, name, data):
         blob = bytearray(_fuzz_blob(name))
-        table_end = 95 + 12 * struct.unpack_from("<I", blob, 54)[0]
+        table_end = _level_at(struct.unpack_from("<I", blob, _at("L"))[0])
         offsets = st.one_of(st.integers(0, table_end - 1), st.integers(0, len(blob) - 1))
         for at, mask in data.draw(st.lists(st.tuples(offsets, st.integers(1, 255)), max_size=3)):
             blob[at] ^= mask
@@ -604,12 +606,9 @@ class TestColumn:
 
 def _table_sketch(family, seed, n, N0):
     """A sketch of ``n`` lognormal items in one table's ``family``:
-    (schedule, adaptive k?, fixed k, adaptive k_const)."""
-    schedule, adaptive, k, k_const = family
-    if adaptive:
-        sk = ReqSketch(seed=seed, schedule=schedule, khat=1.5, k_const=k_const, N0=N0)
-    else:
-        sk = ReqSketch(k, seed=seed, schedule=schedule, N0=N0)
+    (schedule, k)."""
+    schedule, k = family
+    sk = ReqSketch(k, seed=seed, schedule=schedule, N0=N0)
     return sk.update(np.random.default_rng(seed).lognormal(3.0, 1.5, n))
 
 
@@ -619,13 +618,11 @@ class TestMergeColumn:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        family=st.tuples(
-            st.sampled_from(["req", "all"]), st.booleans(), st.sampled_from([4, 8]), st.sampled_from([2, 4])
-        ),
+        family=st.tuples(st.sampled_from(["req", "all"]), st.sampled_from([2, 4, 8])),
         specs=st.lists(
             st.tuples(
                 st.one_of(st.integers(0, 24), st.integers(0, 400)),  # n: mostly never compacted
-                st.sampled_from([None, 16, 4096]),  # N0: default, smaller, larger
+                st.sampled_from([None, 4, 16, 4096]),  # N0: default, smaller, larger
             ),
             min_size=1,
             max_size=40,
@@ -698,11 +695,8 @@ class TestMergeColumn:
         [
             (lambda: ReqSketch(8), lambda: ReqSketch(8, schedule="all")),
             (lambda: ReqSketch(8), lambda: ReqSketch(4)),
-            # Adaptive k(N) is 2 here: only the k-hat tells them apart.
-            (lambda: ReqSketch(2), lambda: ReqSketch(khat=1.5, k_const=2)),
-            (lambda: ReqSketch(khat=1.5, k_const=2), lambda: ReqSketch(2)),
         ],
-        ids=["schedule", "k", "fixed_then_adaptive", "adaptive_then_fixed"],
+        ids=["schedule", "k"],
     )
     def test_mismatched_blobs_raise_the_merge_error(self, first, second):
         sketches = [first().update(_items(10)), second().update(_items(10))]

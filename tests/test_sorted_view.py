@@ -58,9 +58,7 @@ def _merged_req():
 
 SKETCHES = {
     "req_fixed_k": lambda: ReqSketch(16, seed=1).update(_lognormal(10)),
-    "req_mergeable": lambda: ReqSketch.from_error_mergeable(
-        0.1, 0.1, seed=2, k_const=4
-    ).update(_lognormal(11)),
+    "req_small_N0": lambda: ReqSketch(16, seed=2, N0=16).update(_lognormal(11)),
     "req_schedule_all": lambda: ReqSketch(16, seed=3, schedule="all").update(_lognormal(12)),
     "req_merged": _merged_req,
     "kll": lambda: KllSketch(100, seed=5).update(_lognormal(13)),

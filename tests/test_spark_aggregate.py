@@ -130,7 +130,7 @@ class TestPinnedBytes:
     """A Spark build's bytes are fixed by its input, layout, ``k`` and
     ``seed``: a refactor of the builders must not change them."""
 
-    DIGEST = "b1acbada5c39980944cc221fd2bb6feb38b0b176ae05bbb1cc9989e387e61fb6"
+    DIGEST = "f2c068c0a9de955bb37d444d4fbf9759796c1799b298b5bc3e8cf6dd11ef9b45"
 
     def test_build_bytes_pinned(self, spark):
         from pyspark.sql import functions as F
